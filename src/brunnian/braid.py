@@ -54,10 +54,10 @@ from .freegroup import (
     FreeAutomorphism,
     FreeWord,
     Letters,
+    Word,
     _apply,
     _inner_conjugator,
-    _invert,
-    _reduce,
+    commutator,
 )
 
 
@@ -88,7 +88,7 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Word):
     """Freely reduced word in the sphere braid generators on n strands."""
 
     n: int
@@ -97,17 +97,11 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 2:
             raise PreconditionError("a braid needs at least two strands")
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
-        prev = 0
-        for a in letters:
-            if not 1 <= abs(a) <= self.n - 1:
-                raise PreconditionError(
-                    f"generator {a} out of range for {self.n} strands")
-            if a == -prev:
-                raise ValueError(
-                    "word is not freely reduced; use BraidWord.from_letters")
-            prev = a
+        super().__post_init__()
+
+    @property
+    def bound(self) -> int:
+        return self.n - 1
 
     @classmethod
     def from_letters(cls, n: int, letters: Iterable[int]) -> "BraidWord":
@@ -115,36 +109,7 @@ class BraidWord:
 
         Reduction does not change the mapping class the word represents.
         """
-        letters = tuple(letters)
-        for a in letters:
-            if not isinstance(a, int) or not 1 <= abs(a) <= n - 1:
-                raise PreconditionError(
-                    f"generator {a} out of range for {n} strands")
-        return cls(n, _reduce(letters))
-
-    @classmethod
-    def identity(cls, n: int) -> "BraidWord":
-        return cls(n, ())
-
-    def concat(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise PreconditionError("strand count mismatch")
-        return BraidWord.from_letters(self.n, self.letters + other.letters)
-
-    __mul__ = concat
-
-    def invert(self) -> "BraidWord":
-        return BraidWord(self.n, _invert(self.letters))
-
-    def power(self, k: int) -> "BraidWord":
-        base = self if k >= 0 else self.invert()
-        out = BraidWord.identity(self.n)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
-    def __len__(self) -> int:
-        return len(self.letters)
+        return cls._from_raw(letters, n)
 
     def permutation(self) -> Permutation:
         """Puncture permutation induced by the word (start strand -> end position)."""
@@ -181,12 +146,9 @@ class BraidWord:
                 out.append(j - 1 if a > 0 else -(j - 1))
             else:
                 out.append(a)
-        assert pos == i, "strand tracking must return to its start"
+        if pos != i:
+            raise AssertionError("strand tracking must return to its start")
         return BraidWord.from_letters(self.n - 1, out)
-
-
-def commutator(u: BraidWord, v: BraidWord) -> BraidWord:
-    return u * v * u.invert() * v.invert()
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +204,16 @@ def sphere_action(word: BraidWord,
 
 
 def is_trivial_sphere(word: BraidWord,
-                      budget: LetterBudget | None = None) -> bool:
+                      budget: LetterBudget | None = None,
+                      lift: homology.SymplecticMatrix | None = None) -> bool:
     """Exact triviality in the mapping class group of the n-punctured sphere.
 
     True exactly when the puncture permutation is trivial and the
     action on the fundamental group is inner.  Needs n >= 4 (with three
     punctures the group is finite and out of scope here).  May raise
-    LetterBudgetExceeded if the action outgrows the budget.
+    LetterBudgetExceeded if the action outgrows the budget.  ``lift`` is
+    the homology action of the letterwise genus-2 lift (n = 6), for a
+    caller that has already computed it.
     """
     if word.n < 4:
         raise PreconditionError("triviality testing needs at least four punctures")
@@ -259,7 +224,8 @@ def is_trivial_sphere(word: BraidWord,
     if word.n == 6:
         # Cheap negative screen through the genus-2 double cover: the
         # letterwise lift of a trivial word has homology action +-I.
-        lift = homology.rho(word.letters)
+        if lift is None:
+            lift = homology.rho(word.letters)
         if not (lift.is_identity or lift.is_neg_identity):
             return False
     table = _action_table(word.n, word.letters, budget)
@@ -304,7 +270,8 @@ def _fold_verdicts(verdicts: Iterable[Optional[bool]]) -> Optional[bool]:
 
 
 def brunnian_check(word: BraidWord,
-                   budget: LetterBudget | None = None) -> BrunnianReport:
+                   budget: LetterBudget | None = None,
+                   lift: homology.SymplecticMatrix | None = None) -> BrunnianReport:
     """Evaluate every forget-strand kernel condition plus own triviality.
 
     Accepts n >= 4; certification (see certify_pa_sphere) additionally
@@ -312,7 +279,8 @@ def brunnian_check(word: BraidWord,
     not Brunnian: moved strands report False, fixed strands stay
     unevaluated.  With four strands the removed words live on the
     three-punctured sphere, whose puncture-fixing mapping class group is
-    trivial, so purity alone decides those strands.
+    trivial, so purity alone decides those strands.  ``lift`` is passed
+    on to the word's own triviality test (see is_trivial_sphere).
     """
     n = word.n
     if n < 4:
@@ -334,7 +302,7 @@ def brunnian_check(word: BraidWord,
         except LetterBudgetExceeded:
             per_strand.append(None)
     try:
-        trivial: Optional[bool] = is_trivial_sphere(word, budget)
+        trivial: Optional[bool] = is_trivial_sphere(word, budget, lift)
     except LetterBudgetExceeded:
         trivial = None
     return BrunnianReport(n, tuple(per_strand),

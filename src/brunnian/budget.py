@@ -41,9 +41,5 @@ class LetterBudget:
                 f"letter budget exceeded: {self.used} > cap {self.cap}"
             )
 
-    @property
-    def remaining(self) -> int:
-        return max(self.cap - self.used, 0)
-
     def __repr__(self) -> str:
         return f"LetterBudget(used={self.used}, cap={self.cap})"

@@ -13,10 +13,9 @@ platform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .budget import LetterBudget
 from .homology import TWIST_SIGN
 
 CERT_SCHEMA = "brunnian-cert/1"
@@ -98,9 +97,6 @@ class Certificate:
                 raise ValueError("genus-2 Brunnian justification needs membership "
                                  "and a nontrivial word")
 
-    def with_input_text(self, text: str) -> "Certificate":
-        return replace(self, input_text=text)
-
     def to_document(self) -> dict:
         surface = {"kind": self.surface[0]}
         if self.surface[0] == "sphere":
@@ -127,10 +123,6 @@ class Certificate:
 
     def summary(self) -> str:
         return f"status={self.status} justification={self.justification}"
-
-
-def resource_fields(budget: LetterBudget) -> tuple[int, int, bool]:
-    return budget.used, budget.cap, budget.exhausted
 
 
 def _check_no_floats(obj) -> None:

@@ -121,16 +121,17 @@ def _cmd_brunnian(args) -> int:
     word = parse_word(_word_text(args), surface, budget)
     if surface[0] == "sphere":
         report = braid.brunnian_check(word, budget)
-        prefix = "s"
+        trivial, prefix = report.trivial, "s"
     else:
-        report = genus2.brunnian_genus2(word, budget)
-        prefix = "d"
+        # The strand checks are the projection's; triviality is the word's.
+        membership = genus2.membership_theorem12(word, budget)
+        report, trivial, prefix = membership.brunnian, membership.trivial, "d"
     doc = {
         "surface": surface_label(surface),
         "word": render_letters(prefix, word.letters),
         "per_strand": list(report.per_strand),
         "brunnian": report.brunnian,
-        "trivial": report.trivial,
+        "trivial": trivial,
         "letters_used": budget.used,
         "letter_cap": budget.cap,
         "aborted": budget.exhausted,
@@ -139,7 +140,7 @@ def _cmd_brunnian(args) -> int:
         human = "undetermined (letter budget exhausted)"
     else:
         human = "brunnian" if report.brunnian else "not brunnian"
-    _emit(args, doc, f"{human}; word {_verdict_text(report.trivial)}")
+    _emit(args, doc, f"{human}; word {_verdict_text(trivial)}")
     return 3 if budget.exhausted else 0
 
 
@@ -179,7 +180,6 @@ def _cmd_homology(args) -> int:
             "charpoly": [str(c) for c in poly.coefficients],
             "identity": matrix.is_identity,
         }
-        human = "\n".join(" ".join(str(x) for x in row) for row in matrix.rows)
     else:
         matrix = homology.rho_mod(word, args.mod)
         doc = {
@@ -189,7 +189,7 @@ def _cmd_homology(args) -> int:
             "matrix": [list(row) for row in matrix.rows],
             "identity": matrix.is_identity,
         }
-        human = "\n".join(" ".join(str(x) for x in row) for row in matrix.rows)
+    human = "\n".join(" ".join(str(x) for x in row) for row in matrix.rows)
     _emit(args, doc, human)
     return 0
 

@@ -17,7 +17,7 @@ element, and that element is recovered exactly or ruled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .budget import LetterBudget
@@ -138,8 +138,74 @@ def _inner_conjugator(rank: int, images: Sequence[Letters]) -> Optional[Letters]
 # public value types
 # ---------------------------------------------------------------------------
 
+class Word:
+    """Shared core of the freely reduced word types.
+
+    A subclass is a frozen dataclass whose last field is ``letters``; its
+    other fields name the group (a rank, a strand count, or nothing) and
+    ``bound`` is the largest generator index they allow.  Construction
+    validates the letters and requires them freely reduced; the
+    subclass's raw-letter constructor reduces them first.  Operations
+    return a word of the same type and group.
+    """
+
+    letters: Letters
+
+    def __post_init__(self):
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        self._check_range(letters)
+        for prev, a in zip(letters, letters[1:]):
+            if a == -prev:
+                raise ValueError(f"{type(self).__name__} letters are not freely "
+                                 "reduced; build the word from raw letters")
+
+    def _check_range(self, letters: Sequence[int]) -> None:
+        bound = self.bound
+        for a in letters:
+            if not isinstance(a, int) or not 1 <= abs(a) <= bound:
+                raise PreconditionError(
+                    f"letter {a} out of range 1..{bound} for {type(self).__name__}")
+
+    @classmethod
+    def _from_raw(cls, letters: Iterable[int], *group):
+        empty = cls(*group)
+        letters = tuple(letters)
+        empty._check_range(letters)
+        return empty._with(_reduce(letters))
+
+    @classmethod
+    def identity(cls, *group):
+        return cls(*group)
+
+    def _with(self, letters: Letters):
+        return replace(self, letters=letters)
+
+    def concat(self, other):
+        # Same group: the two words agree once their letters are dropped.
+        if type(other) is not type(self) or self._with(()) != other._with(()):
+            raise PreconditionError("words of different groups cannot be multiplied")
+        return self._with(_concat(self.letters, other.letters))
+
+    __mul__ = concat
+
+    def invert(self):
+        return self._with(_invert(self.letters))
+
+    def power(self, k: int):
+        base = self.letters if k >= 0 else _invert(self.letters)
+        return self._with(_reduce(base * abs(k)))
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+
+def commutator(u: Word, v: Word) -> Word:
+    return u * v * u.invert() * v.invert()
+
+
 @dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Word):
     """A freely reduced word in the free group of the given rank."""
 
     rank: int
@@ -148,29 +214,16 @@ class FreeWord:
     def __post_init__(self):
         if self.rank < 1:
             raise PreconditionError("rank must be a positive integer")
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
-        prev = 0
-        for a in letters:
-            if not 1 <= abs(a) <= self.rank:
-                raise PreconditionError(
-                    f"letter {a} out of range for rank {self.rank}")
-            if a == -prev:
-                raise ValueError("word is not freely reduced; use FreeWord.reduce")
-            prev = a
+        super().__post_init__()
+
+    @property
+    def bound(self) -> int:
+        return self.rank
 
     @classmethod
     def reduce(cls, rank: int, letters: Iterable[int]) -> "FreeWord":
         """Freely reduce a raw letter sequence. Idempotent."""
-        letters = tuple(letters)
-        for a in letters:
-            if not isinstance(a, int) or not 1 <= abs(a) <= rank:
-                raise PreconditionError(f"letter {a} out of range for rank {rank}")
-        return cls(rank, _reduce(letters))
-
-    @classmethod
-    def identity(cls, rank: int) -> "FreeWord":
-        return cls(rank, ())
+        return cls._from_raw(letters, rank)
 
     @classmethod
     def generator(cls, rank: int, index: int, sign: int = 1) -> "FreeWord":
@@ -178,36 +231,10 @@ class FreeWord:
             raise PreconditionError("sign must be +1 or -1")
         return cls(rank, (sign * index,))
 
-    def concat(self, other: "FreeWord") -> "FreeWord":
-        if self.rank != other.rank:
-            raise PreconditionError("rank mismatch")
-        return FreeWord(self.rank, _concat(self.letters, other.letters))
-
-    __mul__ = concat
-
-    def invert(self) -> "FreeWord":
-        return FreeWord(self.rank, _invert(self.letters))
-
-    def power(self, k: int) -> "FreeWord":
-        base = self if k >= 0 else self.invert()
-        out: Letters = ()
-        for _ in range(abs(k)):
-            out = _concat(out, base.letters)
-        return FreeWord(self.rank, out)
-
     def cyclic_reduce(self) -> tuple["FreeWord", "FreeWord"]:
         """Return (p, core) with self == p * core * p^-1, core cyclically reduced."""
         p, core = _cyclic_split(self.letters)
-        return FreeWord(self.rank, p), FreeWord(self.rank, core)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __repr__(self) -> str:
-        return f"FreeWord(rank={self.rank}, letters={self.letters})"
+        return self._with(p), self._with(core)
 
 
 class FreeAutomorphism:

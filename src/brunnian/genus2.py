@@ -33,63 +33,21 @@ from .certificate import (
     STATUS_UNDETERMINED,
     render_letters,
 )
-from .errors import LetterBudgetExceeded, PreconditionError
-from .freegroup import Letters, _invert, _reduce
+from .freegroup import Letters, Word, commutator  # noqa: F401 (public name)
 
 GENERATOR_COUNT = 5
 
 
 @dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Word):
     """Freely reduced word in the five standard genus-2 twist generators."""
 
     letters: Letters = ()
-
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
-        prev = 0
-        for a in letters:
-            if not 1 <= abs(a) <= GENERATOR_COUNT:
-                raise PreconditionError(f"twist generator {a} out of range")
-            if a == -prev:
-                raise ValueError(
-                    "word is not freely reduced; use TwistWord.from_letters")
-            prev = a
+    bound = GENERATOR_COUNT
 
     @classmethod
     def from_letters(cls, letters: Iterable[int]) -> "TwistWord":
-        letters = tuple(letters)
-        for a in letters:
-            if not isinstance(a, int) or not 1 <= abs(a) <= GENERATOR_COUNT:
-                raise PreconditionError(f"twist generator {a} out of range")
-        return cls(_reduce(letters))
-
-    @classmethod
-    def identity(cls) -> "TwistWord":
-        return cls(())
-
-    def concat(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord.from_letters(self.letters + other.letters)
-
-    __mul__ = concat
-
-    def invert(self) -> "TwistWord":
-        return TwistWord(_invert(self.letters))
-
-    def power(self, k: int) -> "TwistWord":
-        base = self if k >= 0 else self.invert()
-        out = TwistWord.identity()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-def commutator(u: TwistWord, v: TwistWord) -> TwistWord:
-    return u * v * u.invert() * v.invert()
+        return cls._from_raw(letters)
 
 
 def project(word: TwistWord) -> BraidWord:
@@ -112,9 +70,10 @@ def involution_word() -> TwistWord:
     global _involution
     if _involution is None:
         word = TwistWord(_INVOLUTION_LETTERS)
-        if not homology.rho(word).is_neg_identity:
+        action = homology.rho(word)
+        if not action.is_neg_identity:
             raise AssertionError("involution word must act as -I on homology")
-        if not is_trivial_sphere(project(word)):
+        if not is_trivial_sphere(project(word), lift=action):
             raise AssertionError("involution word must project to a trivial class")
         _involution = word
     return _involution
@@ -131,9 +90,10 @@ def is_trivial_genus2(word: TwistWord,
     """
     if budget is None:
         budget = LetterBudget()
-    if not homology.rho(word).is_identity:
+    action = homology.rho(word)
+    if not action.is_identity:
         return False
-    return is_trivial_sphere(project(word), budget)
+    return is_trivial_sphere(project(word), budget, action)
 
 
 def brunnian_genus2(word: TwistWord,
@@ -151,6 +111,7 @@ class MembershipReport:
     rho_mod3_identity: bool
     member: Optional[bool]
     trivial: Optional[bool]
+    action: homology.SymplecticMatrix  # integral homology action of the word
 
 
 def membership_theorem12(word: TwistWord,
@@ -160,24 +121,23 @@ def membership_theorem12(word: TwistWord,
 
     Member exactly when the projection passes every strand check and
     the mod-3 homology action is the identity.  Budget aborts leave the
-    affected verdicts None.
+    affected verdicts None.  The homology action is evaluated once and
+    also decides the projection's six-puncture screen.
     """
     if budget is None:
         budget = LetterBudget()
-    report = brunnian_genus2(word, budget)
-    rho3_identity = homology.rho_mod(word, 3).is_identity
+    action = homology.rho(word)
+    report = brunnian_check(project(word), budget, action)
+    rho3_identity = action.mod(3).is_identity
     if not rho3_identity or report.brunnian is False:
         member: Optional[bool] = False
     elif report.brunnian is None:
         member = None
     else:
         member = True
-    if not homology.rho(word).is_identity:
-        trivial: Optional[bool] = False
-    else:
-        # Homology is the identity, so triviality is the projection's.
-        trivial = report.trivial
-    return MembershipReport(report, rho3_identity, member, trivial)
+    # With homology the identity, triviality is the projection's.
+    trivial = report.trivial if action.is_identity else False
+    return MembershipReport(report, rho3_identity, member, trivial, action)
 
 
 def certify_pa_genus2(word: TwistWord,
@@ -194,7 +154,7 @@ def certify_pa_genus2(word: TwistWord,
     if budget is None:
         budget = LetterBudget()
     membership = membership_theorem12(word, budget)
-    action = homology.rho(word)
+    action = membership.action
     poly = homology.charpoly(action)
     criterion = homology.casson_bleiler(poly)
     if membership.trivial is True:

@@ -86,10 +86,6 @@ class SymplecticMatrix:
 
     __matmul__ = mul
 
-    def transpose(self) -> "SymplecticMatrix":
-        return SymplecticMatrix(
-            tuple(tuple(self.rows[j][i] for j in range(4)) for i in range(4)))
-
     def det(self) -> int:
         """Exact determinant by cofactor expansion on the first row."""
         def det3(m):
@@ -153,7 +149,8 @@ def transvection(c: Sequence[int], sign: int = TWIST_SIGN) -> SymplecticMatrix:
     m = SymplecticMatrix(tuple(
         tuple((1 if i == j else 0) + sign * c[i] * jc[j] for j in range(4))
         for i in range(4)))
-    assert m.is_symplectic()
+    if not m.is_symplectic():
+        raise AssertionError("a transvection must be symplectic")
     return m
 
 
@@ -180,18 +177,40 @@ def rho(word) -> SymplecticMatrix:
         t = _TWIST_MATRICES[a] if a > 0 else _TWIST_INVERSES[-a]
         m = _mat_mul(m, t.rows)
     result = SymplecticMatrix(m)
-    assert result.is_symplectic()
+    if not result.is_symplectic():
+        raise AssertionError("the homology action must be symplectic")
     return result
 
 
+# Miller-Rabin with the first thirteen prime bases is exact below this
+# bound, the least strong pseudoprime to all of them (Sorenson-Webster).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; p from _MR_EXACT_BELOW up is refused, not guessed."""
+    if p >= _MR_EXACT_BELOW:
+        raise PreconditionError(
+            f"primality of moduli from {_MR_EXACT_BELOW} up is not decided")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -253,7 +272,7 @@ def charpoly(m: SymplecticMatrix) -> CharPolynomial:
     """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme.
 
     All divisions in the recursion are exact over the integers; this is
-    asserted rather than assumed.
+    checked rather than assumed.
     """
     a = m.rows
     coeffs = [1]
@@ -261,7 +280,8 @@ def charpoly(m: SymplecticMatrix) -> CharPolynomial:
     for k in range(1, 5):
         trace = sum(mk[i][i] for i in range(4))
         ck, rem = divmod(-trace, k)
-        assert rem == 0, "Faddeev-LeVerrier division must be exact"
+        if rem:
+            raise AssertionError("Faddeev-LeVerrier division must be exact")
         coeffs.append(ck)
         if k < 4:
             shifted = tuple(

@@ -28,6 +28,10 @@ from .genus2 import GENERATOR_COUNT, TwistWord
 Surface = tuple  # ("sphere", n) or ("genus2",)
 Word = Union[BraidWord, TwistWord]
 
+# Groups and commutators nest at most this deep; the parser recurses
+# once per level, so the limit keeps it far from the interpreter's.
+MAX_NESTING = 100
+
 
 def parse_surface(text: str) -> Surface:
     if text == "genus2":
@@ -105,6 +109,7 @@ class _Parser:
         self.surface = surface
         self.budget = budget
         self.end = text_length
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -147,10 +152,16 @@ class _Parser:
         if tok.kind == "gen":
             self.pos += 1
             return [self._letter(tok)]
+        if tok.kind in ("(", "["):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise WordSyntaxError(
+                    f"nesting deeper than {MAX_NESTING} levels", tok.position)
         if tok.kind == "(":
             self.take("(")
             inner = self.parse_word(stop={")"})
             self.take(")")
+            self.depth -= 1
             return inner
         if tok.kind == "[":
             self.take("[")
@@ -158,6 +169,7 @@ class _Parser:
             self.take(",")
             right = self.parse_word(stop={"]"})
             self.take("]")
+            self.depth -= 1
             self.budget.charge(2 * (len(left) + len(right)))
             return (left + right
                     + list(_invert(left)) + list(_invert(right)))

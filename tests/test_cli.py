@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from brunnian.cli import main
 NESTED = "[d1^6,[d2^6,[d3^6,[d4^6,d5^6]]]]"
 NESTED_SPHERE = "[s1^6,[s2^6,[s3^6,[s4^6,s5^6]]]]"
 RELATION = "s1 s2 s3 s4 s5 s5 s4 s3 s2 s1"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -74,6 +79,20 @@ class TestBrunnianCommand:
         assert doc["per_strand"] == [True, True, False, False, False, False]
 
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_genus2_verdict_agrees_with_check(self, capsys, k):
+        # Odd powers of the involution project to trivial sphere classes
+        # but are nontrivial on the genus-2 surface.
+        word = f"(d1 d2 d3 d4 d5 d5 d4 d3 d2 d1)^{k}"
+        _, checked, _ = run_json(capsys, "check", "--surface", "genus2",
+                                 "--word", word)
+        _, brunnian, _ = run_json(capsys, "brunnian", "--surface", "genus2",
+                                  "--word", word)
+        assert checked["trivial"] is False
+        assert brunnian["trivial"] is False
+        assert brunnian["brunnian"] is True
+
+
 class TestProjectAndHomology:
     def test_project(self, capsys):
         code, doc, _ = run_json(capsys, "project", "--word", "d1 d5^-1")
@@ -110,6 +129,19 @@ class TestProjectAndHomology:
     def test_homology_rejects_composite_modulus(self, capsys):
         code, _, err = run(capsys, "homology", "--mod", "6", "--word", "d1")
         assert code == 2
+
+    @pytest.mark.parametrize("modulus, code", [
+        ("1000000000000000003", 0),           # prime
+        ("1000000016000000063", 2),           # 1000000007 * 1000000009
+        ("3317044064679887385961981", 2),     # beyond the exact range
+    ])
+    def test_huge_modulus_decided_quickly(self, modulus, code):
+        done = subprocess.run(
+            [sys.executable, "-m", "brunnian.cli", "homology", "--word", "d1",
+             "--mod", modulus], capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
 
 
 class TestCertify:
@@ -213,6 +245,22 @@ class TestErrorsAndInput:
         code, _, err = run(capsys, "check", "--surface", "sphere:6",
                            "--word", "s1", "--max-letters", "0")
         assert code == 1
+
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("[", ",s1]")])
+    @pytest.mark.parametrize("depth", [400, 10000])
+    def test_deep_nesting_is_a_parse_error(self, capsys, depth, opener, closer):
+        word = opener * depth + "s1" + closer * depth
+        code, out, err = run(capsys, "check", "--surface", "sphere:5",
+                             "--word", word)
+        assert code == 1
+        assert err.startswith("parse error") and "Traceback" not in err
+
+    def test_moderate_nesting_parses(self, capsys):
+        word = "(" * 50 + "s1" + ")" * 50
+        code, out, _ = run(capsys, "check", "--surface", "sphere:5",
+                           "--word", word)
+        assert (code, out) == (0, "nontrivial\n")
 
 
 class TestDeterminism:

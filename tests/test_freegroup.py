@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from brunnian import FreeAutomorphism, FreeWord, LetterBudget, LetterBudgetExceeded
+from brunnian import (BraidWord, FreeAutomorphism, FreeWord, LetterBudget,
+                      LetterBudgetExceeded, TwistWord)
 from brunnian.errors import PreconditionError
 
 import oracles
@@ -96,6 +97,31 @@ class TestConcat:
     def test_word_times_inverse(self, letters):
         w = word(letters)
         assert (w * w.invert()).letters == ()
+
+
+class TestPower:
+    def test_agrees_with_repeated_product(self):
+        rng = random.Random(106)
+        for make in (lambda ls: word(ls),
+                     lambda ls: BraidWord.from_letters(RANK + 1, ls),
+                     lambda ls: TwistWord.from_letters([a % 5 + 1 for a in ls])):
+            for _ in range(200):
+                w = make(oracles.random_letters(rng, RANK, rng.randint(0, 12)))
+                k = rng.randint(-6, 6)
+                naive = w * w.invert()
+                for _ in range(abs(k)):
+                    naive = naive * (w if k > 0 else w.invert())
+                assert w.power(k) == naive
+
+    def test_conjugate_power_is_short(self):
+        w = word([1, 2, 3, -2, -1])
+        assert w.power(1000).letters == (1, 2) + (3,) * 1000 + (-2, -1)
+
+    def test_words_of_different_groups_do_not_multiply(self):
+        with pytest.raises(PreconditionError):
+            BraidWord(5, (1,)) * BraidWord(6, (1,))
+        with pytest.raises(PreconditionError):
+            TwistWord((1,)) * BraidWord(6, (1,))
 
 
 class TestInvert:

@@ -14,7 +14,7 @@ from brunnian import (
     transvection,
 )
 from brunnian.errors import PreconditionError
-from brunnian.homology import CHAIN_CLASSES, J, intersection
+from brunnian.homology import CHAIN_CLASSES, J, intersection, is_prime
 
 import oracles
 
@@ -171,6 +171,28 @@ class TestRho:
             rho_mod(TwistWord((1,)), 4)
         with pytest.raises(PreconditionError):
             rho_mod(TwistWord((1,)), 1)
+
+
+class TestIsPrime:
+    def test_agrees_with_sympy(self):
+        assert [p for p in range(-3, 5000) if is_prime(p)] \
+            == list(sympy.primerange(0, 5000))
+        rng = random.Random(207)
+        for _ in range(2000):
+            n = rng.randrange(2, 10**24)
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_strong_pseudoprimes(self):
+        # The least strong pseudoprimes to all prime bases up to 37 and
+        # up to 31 respectively.
+        assert not is_prime(318665857834031151167461)
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(1000000007 * 1000000009)
+        assert is_prime(2**61 - 1)
+
+    def test_outside_the_exact_range_refused(self):
+        with pytest.raises(PreconditionError):
+            is_prime(2**89 - 1)
 
 
 class TestCharPolynomial:

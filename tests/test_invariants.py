@@ -1,0 +1,72 @@
+"""Properties of the package as a whole, rather than of one module.
+
+* Internal invariants are checked by code that ``python -O`` keeps:
+  the package source holds no ``assert`` statement.
+* A genus-2 ``check``, ``brunnian`` or ``certify`` evaluates the
+  integral homology action exactly once.
+* The library example in README.md runs.
+"""
+
+import ast
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import brunnian
+from brunnian import homology, involution_word
+from brunnian.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(brunnian.__file__).resolve().parent
+
+
+def test_no_assert_statements_in_the_package():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """Counts calls through every binding of ``homology.rho`` in the package."""
+    involution_word()  # verified and cached before counting starts
+    original = homology.rho
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return original(word)
+
+    for name, module in list(sys.modules.items()):
+        if name == "brunnian" or name.startswith("brunnian."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["check", "brunnian", "certify"])
+@pytest.mark.parametrize("word", [
+    "[d1^6,[d2^6,[d3^6,[d4^6,d5^6]]]]",   # member of the theorem-1.2 subgroup
+    "d1 d2 d3 d4 d5 d5 d4 d3 d2 d1",      # the involution: rho = -I
+    "(d1 d2 d3 d4 d5)^6",                 # rho = I
+    "d1 d2^-1 d4",                        # impure projection
+])
+def test_one_homology_evaluation_per_genus2_command(rho_calls, command, word):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--surface", "genus2", "--word", word, "--json"])
+    assert code == 0
+    assert len(rho_calls) == 1
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
