@@ -17,12 +17,13 @@ action(uv) = action(u) after action(v).
 A puncture-fixing mapping class of the sphere with n >= 4 punctures is
 trivial exactly when its permutation is trivial and its action on the
 fundamental group is an inner automorphism; innerness is decided
-exactly by freegroup inner detection.  For six punctures a nontrivial
-integral homology action of the letterwise lift to the genus-2 twist
-generators already forces nontriviality (the lift kernel contains only
-the identity and the hyperelliptic involution, whose homology actions
-are +-identity), which the triviality test uses as a cheap negative
-screen before falling back to the free-group engine.
+exactly by freegroup inner detection; purity and innerness together
+are the exact engine.  For six punctures a nontrivial integral homology
+action of the letterwise lift to the genus-2 twist generators already
+forces nontriviality (the lift kernel contains only the identity and
+the hyperelliptic involution, whose homology actions are +-identity),
+which the triviality test uses as a cheap negative screen between the
+purity test and the free-group engine.
 
 Brunnian membership
 -------------------
@@ -39,17 +40,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import homology
-from .budget import LetterBudget
-from .certificate import (
-    Certificate,
-    JUSTIFY_NONE,
-    JUSTIFY_SPHERE_BRUNNIAN,
-    STATUS_PSEUDO_ANOSOV,
-    STATUS_TRIVIAL,
-    STATUS_UNDETERMINED,
-    render_letters,
-)
-from .errors import LetterBudgetExceeded, PreconditionError
+from .budget import LetterBudget, unless_aborted
+from .certificate import Certificate
+from .errors import PreconditionError
 from .freegroup import (
     FreeAutomorphism,
     FreeWord,
@@ -127,13 +120,11 @@ class BraidWord(Word):
 
         Requires permutation(self) to fix i.  The sweep keeps the
         current position of the forgotten strand, drops the crossings
-        that involve it and renumbers crossings to its right.
+        that involve it and renumbers crossings to its right; the
+        strand's final position is its image under the permutation.
         """
         if not 1 <= i <= self.n:
             raise PreconditionError(f"strand {i} out of range")
-        if not self.permutation().fixes(i):
-            raise PreconditionError(
-                f"strand {i} is not fixed by the word's permutation")
         pos = i
         out: list[int] = []
         for a in self.letters:
@@ -147,7 +138,8 @@ class BraidWord(Word):
             else:
                 out.append(a)
         if pos != i:
-            raise AssertionError("strand tracking must return to its start")
+            raise PreconditionError(
+                f"strand {i} is not fixed by the word's permutation")
         return BraidWord.from_letters(self.n - 1, out)
 
 
@@ -203,33 +195,32 @@ def sphere_action(word: BraidWord,
     return FreeAutomorphism([FreeWord(rank, t) for t in table])
 
 
+def _acts_innerly(word: BraidWord, budget: LetterBudget) -> bool:
+    """The free-group engine on a pure word: is its action inner?"""
+    table = _action_table(word.n, word.letters, budget)
+    return _inner_conjugator(word.n - 1, table) is not None
+
+
 def is_trivial_sphere(word: BraidWord,
-                      budget: LetterBudget | None = None,
-                      lift: homology.SymplecticMatrix | None = None) -> bool:
+                      budget: LetterBudget | None = None) -> bool:
     """Exact triviality in the mapping class group of the n-punctured sphere.
 
     True exactly when the puncture permutation is trivial and the
     action on the fundamental group is inner.  Needs n >= 4 (with three
     punctures the group is finite and out of scope here).  May raise
-    LetterBudgetExceeded if the action outgrows the budget.  ``lift`` is
-    the homology action of the letterwise genus-2 lift (n = 6), for a
-    caller that has already computed it.
+    LetterBudgetExceeded if the action outgrows the budget.
     """
     if word.n < 4:
         raise PreconditionError("triviality testing needs at least four punctures")
-    if budget is None:
-        budget = LetterBudget()
     if not word.permutation().is_identity():
         return False
     if word.n == 6:
         # Cheap negative screen through the genus-2 double cover: the
         # letterwise lift of a trivial word has homology action +-I.
-        if lift is None:
-            lift = homology.rho(word.letters)
+        lift = homology.rho(word.letters)
         if not (lift.is_identity or lift.is_neg_identity):
             return False
-    table = _action_table(word.n, word.letters, budget)
-    return _inner_conjugator(word.n - 1, table) is not None
+    return _acts_innerly(word, LetterBudget() if budget is None else budget)
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +260,33 @@ def _fold_verdicts(verdicts: Iterable[Optional[bool]]) -> Optional[bool]:
     return result
 
 
+def _strand_verdicts(word: BraidWord, perm: Permutation,
+                     budget: LetterBudget) -> tuple[Optional[bool], ...]:
+    """Triviality of each single-strand removal; ``perm`` is the word's.
+
+    A word with a nontrivial permutation is immediately not Brunnian:
+    moved strands report False, fixed strands stay unevaluated.  With
+    four strands the removed words live on the three-punctured sphere,
+    whose puncture-fixing mapping class group is trivial, so purity
+    alone decides those strands.
+    """
+    n = word.n
+    if not perm.is_identity():
+        return tuple(None if perm.fixes(i) else False for i in range(1, n + 1))
+    verdicts: list[Optional[bool]] = []
+    for i in range(1, n + 1):
+        removed = word.remove_strand(i)
+        verdicts.append(True if removed.n == 3
+                        else unless_aborted(is_trivial_sphere, removed, budget))
+    return tuple(verdicts)
+
+
 def brunnian_check(word: BraidWord,
-                   budget: LetterBudget | None = None,
-                   lift: homology.SymplecticMatrix | None = None) -> BrunnianReport:
+                   budget: LetterBudget | None = None) -> BrunnianReport:
     """Evaluate every forget-strand kernel condition plus own triviality.
 
     Accepts n >= 4; certification (see certify_pa_sphere) additionally
-    requires n >= 5.  A word with a nontrivial permutation is immediately
-    not Brunnian: moved strands report False, fixed strands stay
-    unevaluated.  With four strands the removed words live on the
-    three-punctured sphere, whose puncture-fixing mapping class group is
-    trivial, so purity alone decides those strands.  ``lift`` is passed
-    on to the word's own triviality test (see is_trivial_sphere).
+    requires n >= 5.  Budget aborts leave the affected verdicts None.
     """
     n = word.n
     if n < 4:
@@ -288,25 +294,9 @@ def brunnian_check(word: BraidWord,
     if budget is None:
         budget = LetterBudget()
     perm = word.permutation()
-    if not perm.is_identity():
-        per = tuple(None if perm.fixes(i) else False for i in range(1, n + 1))
-        return BrunnianReport(n, per, brunnian=False, trivial=False)
-    per_strand: list[Optional[bool]] = []
-    for i in range(1, n + 1):
-        removed = word.remove_strand(i)
-        if n - 1 == 3:
-            per_strand.append(True)
-            continue
-        try:
-            per_strand.append(is_trivial_sphere(removed, budget))
-        except LetterBudgetExceeded:
-            per_strand.append(None)
-    try:
-        trivial: Optional[bool] = is_trivial_sphere(word, budget, lift)
-    except LetterBudgetExceeded:
-        trivial = None
-    return BrunnianReport(n, tuple(per_strand),
-                          brunnian=_fold_verdicts(per_strand), trivial=trivial)
+    per_strand = _strand_verdicts(word, perm, budget)
+    trivial = perm.is_identity() and unless_aborted(is_trivial_sphere, word, budget)
+    return BrunnianReport(n, per_strand, _fold_verdicts(per_strand), trivial)
 
 
 def certify_pa_sphere(word: BraidWord,
@@ -323,33 +313,8 @@ def certify_pa_sphere(word: BraidWord,
     if budget is None:
         budget = LetterBudget()
     report = brunnian_check(word, budget)
-    if report.trivial is True:
-        status, justification = STATUS_TRIVIAL, JUSTIFY_NONE
-    elif report.brunnian is True and report.trivial is False:
-        status, justification = STATUS_PSEUDO_ANOSOV, JUSTIFY_SPHERE_BRUNNIAN
-    else:
-        status, justification = STATUS_UNDETERMINED, JUSTIFY_NONE
-    perm = word.permutation()
-    checks = {
-        "pure": perm.is_identity(),
-        "trivial": report.trivial,
-        "brunnian_per_strand": list(report.per_strand),
-        "brunnian": report.brunnian,
-    }
-    word_text = render_letters("s", word.letters)
-    return Certificate(
-        surface=("sphere", word.n),
-        input_text=word_text if input_text is None else input_text,
-        word_text=word_text,
-        length=len(word.letters),
-        permutation=perm.images,
-        checks=checks,
-        status=status,
-        justification=justification,
-        letters_used=budget.used,
-        letter_cap=budget.cap,
-        aborted=budget.exhausted,
-    )
+    return Certificate.build(("sphere", word.n), word, word.permutation(),
+                             report, budget, input_text)
 
 
 def brunnian_example(n: int) -> BraidWord:

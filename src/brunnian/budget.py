@@ -43,3 +43,11 @@ class LetterBudget:
 
     def __repr__(self) -> str:
         return f"LetterBudget(used={self.used}, cap={self.cap})"
+
+
+def unless_aborted(compute, *args):
+    """``compute(*args)``, or None (an undecided verdict) after an abort."""
+    try:
+        return compute(*args)
+    except LetterBudgetExceeded:
+        return None

@@ -3,7 +3,9 @@
 A certificate is the machine-checkable outcome of a certification run:
 the normalized word, every check that was evaluated (null where a
 letter-budget abort prevented a verdict), the conclusion with its legal
-basis, and the resource accounting.  Serialisation is canonical: fixed
+basis, and the resource accounting.  The conclusion is a function of the
+surface and the checks alone (:func:`conclude`), so a certificate is
+checked by recomputing it.  Serialisation is canonical: fixed
 key order, ASCII only, no floats, and integers that may exceed 64 bits
 (matrix entries, polynomial coefficients) rendered as decimal strings.
 Identical inputs therefore produce byte-identical documents on any
@@ -33,6 +35,33 @@ CONVENTIONS = {
     "artin_action": "sigma_i: x_i -> x_i x_{i+1} x_i^-1, x_{i+1} -> x_i",
     "transvection_sign": TWIST_SIGN,
 }
+
+
+def conclude(surface: tuple, checks: Mapping[str, Any]) -> tuple[str, str]:
+    """Status and legal basis that the checks support, and nothing more.
+
+    A trivial word is trivial.  A nontrivial Brunnian word is
+    pseudo-Anosov by Theorem 1.1 on the sphere, and by Theorem 1.2 on
+    genus 2 when its mod-3 homology action is also the identity.
+    Otherwise a certified characteristic polynomial still concludes
+    (Casson-Bleiler); anything else, including every verdict a budget
+    abort left null, is undetermined.
+    """
+    genus2 = surface[0] == "genus2"
+    if checks.get("trivial") is True:
+        return STATUS_TRIVIAL, JUSTIFY_NONE
+    if (checks.get("brunnian") is True and checks.get("trivial") is False
+            and (not genus2 or checks.get("rho_mod3_identity") is True)):
+        return STATUS_PSEUDO_ANOSOV, (JUSTIFY_GENUS2_BRUNNIAN if genus2
+                                      else JUSTIFY_SPHERE_BRUNNIAN)
+    if checks.get("casson_bleiler") == "pa_certified":
+        return STATUS_PSEUDO_ANOSOV, JUSTIFY_CHARPOLY
+    return STATUS_UNDETERMINED, JUSTIFY_NONE
+
+
+def render_word(surface: tuple, letters: Sequence[int]) -> str:
+    """render_letters with the surface's generator prefix (``s`` or ``d``)."""
+    return render_letters("d" if surface[0] == "genus2" else "s", letters)
 
 
 def render_letters(prefix: str, letters: Sequence[int]) -> str:
@@ -78,24 +107,35 @@ class Certificate:
     def __post_init__(self):
         self.validate()
 
+    @classmethod
+    def build(cls, surface: tuple, word, permutation, report, budget,
+              input_text: str | None = None, **extra_checks) -> "Certificate":
+        """Certificate of ``word`` from its Brunnian report and extra checks.
+
+        ``report`` carries the strand verdicts and the word's own
+        triviality, ``permutation`` its puncture permutation; resources
+        are read off ``budget`` and the conclusion is :func:`conclude`'s.
+        """
+        checks = {
+            "pure": permutation.is_identity(),
+            "trivial": report.trivial,
+            "brunnian_per_strand": list(report.per_strand),
+            "brunnian": report.brunnian,
+            **extra_checks,
+        }
+        status, justification = conclude(surface, checks)
+        word_text = render_word(surface, word.letters)
+        return cls(surface, word_text if input_text is None else input_text,
+                   word_text, len(word.letters), permutation.images, checks,
+                   status, justification, budget.used, budget.cap,
+                   budget.exhausted)
+
     def validate(self) -> None:
-        checks = self.checks
-        if self.status == STATUS_PSEUDO_ANOSOV and self.justification == JUSTIFY_NONE:
-            raise ValueError("pseudo_anosov status requires a justification")
-        if self.justification == JUSTIFY_SPHERE_BRUNNIAN:
-            if self.surface[0] != "sphere" or self.surface[1] < 5:
-                raise ValueError("sphere Brunnian justification needs sphere:n, n >= 5")
-            if checks.get("brunnian") is not True or checks.get("trivial") is not False:
-                raise ValueError("sphere Brunnian justification needs brunnian pass "
-                                 "and a nontrivial word")
-        if self.justification == JUSTIFY_GENUS2_BRUNNIAN:
-            if self.surface[0] != "genus2":
-                raise ValueError("genus-2 Brunnian justification needs the genus2 surface")
-            if (checks.get("brunnian") is not True
-                    or checks.get("rho_mod3_identity") is not True
-                    or checks.get("trivial") is not False):
-                raise ValueError("genus-2 Brunnian justification needs membership "
-                                 "and a nontrivial word")
+        if self.surface[0] == "sphere" and self.surface[1] < 5:
+            raise ValueError("sphere certificates need sphere:n, n >= 5")
+        if (self.status, self.justification) != conclude(self.surface, self.checks):
+            raise ValueError(f"conclusion {self.status}/{self.justification} "
+                             "does not follow from the checks")
 
     def to_document(self) -> dict:
         surface = {"kind": self.surface[0]}

@@ -12,8 +12,8 @@ import argparse
 import sys
 
 from . import braid, genus2, homology
-from .budget import DEFAULT_LETTER_CAP, LetterBudget
-from .certificate import canonical_json, render_letters
+from .budget import DEFAULT_LETTER_CAP, LetterBudget, unless_aborted
+from .certificate import canonical_json, render_letters, render_word
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
 from .parsing import parse_surface, parse_word, surface_label
 
@@ -91,28 +91,31 @@ def _verdict_text(value) -> str:
     return "trivial" if value else "nontrivial"
 
 
-def _cmd_check(args) -> int:
-    surface = _surface(args)
-    budget = _budget(args)
-    word = parse_word(_word_text(args), surface, budget)
-    try:
-        if surface[0] == "sphere":
-            verdict = braid.is_trivial_sphere(word, budget)
-        else:
-            verdict = genus2.is_trivial_genus2(word, budget)
-    except LetterBudgetExceeded:
-        verdict = None
-    prefix = "s" if surface[0] == "sphere" else "d"
+def _report(args, surface, word, budget: LetterBudget, human: str,
+            **verdicts) -> int:
+    """Emit the verdict document of ``check`` or ``brunnian``; exit 3 on an abort."""
     doc = {
         "surface": surface_label(surface),
-        "word": render_letters(prefix, word.letters),
-        "trivial": verdict,
+        "word": render_word(surface, word.letters),
+        **verdicts,
         "letters_used": budget.used,
         "letter_cap": budget.cap,
         "aborted": budget.exhausted,
     }
-    _emit(args, doc, _verdict_text(verdict))
+    _emit(args, doc, human)
     return 3 if budget.exhausted else 0
+
+
+def _cmd_check(args) -> int:
+    surface = _surface(args)
+    budget = _budget(args)
+    word = parse_word(_word_text(args), surface, budget)
+    if surface[0] == "sphere":
+        verdict = unless_aborted(braid.is_trivial_sphere, word, budget)
+    else:
+        verdict = unless_aborted(genus2.is_trivial_genus2, word, budget)
+    return _report(args, surface, word, budget, _verdict_text(verdict),
+                   trivial=verdict)
 
 
 def _cmd_brunnian(args) -> int:
@@ -121,27 +124,17 @@ def _cmd_brunnian(args) -> int:
     word = parse_word(_word_text(args), surface, budget)
     if surface[0] == "sphere":
         report = braid.brunnian_check(word, budget)
-        trivial, prefix = report.trivial, "s"
     else:
         # The strand checks are the projection's; triviality is the word's.
-        membership = genus2.membership_theorem12(word, budget)
-        report, trivial, prefix = membership.brunnian, membership.trivial, "d"
-    doc = {
-        "surface": surface_label(surface),
-        "word": render_letters(prefix, word.letters),
-        "per_strand": list(report.per_strand),
-        "brunnian": report.brunnian,
-        "trivial": trivial,
-        "letters_used": budget.used,
-        "letter_cap": budget.cap,
-        "aborted": budget.exhausted,
-    }
+        report = genus2.membership_theorem12(word, budget).brunnian
     if report.brunnian is None:
         human = "undetermined (letter budget exhausted)"
     else:
         human = "brunnian" if report.brunnian else "not brunnian"
-    _emit(args, doc, f"{human}; word {_verdict_text(trivial)}")
-    return 3 if budget.exhausted else 0
+    return _report(args, surface, word, budget,
+                   f"{human}; word {_verdict_text(report.trivial)}",
+                   per_strand=list(report.per_strand),
+                   brunnian=report.brunnian, trivial=report.trivial)
 
 
 def _cmd_project(args) -> int:
@@ -210,14 +203,11 @@ def _cmd_certify(args) -> int:
 def _cmd_example(args) -> int:
     surface = parse_surface(args.surface) if args.surface else ("sphere", args.n)
     word = braid.brunnian_example(args.n)
-    if surface[0] == "genus2":
-        if args.n != 6:
-            raise PreconditionError("the genus-2 example needs --n 6")
-        rendered = render_letters("d", word.letters)
-    else:
-        if surface[1] != args.n:
-            raise PreconditionError("--surface strand count must match --n")
-        rendered = render_letters("s", word.letters)
+    if surface[0] == "genus2" and args.n != 6:
+        raise PreconditionError("the genus-2 example needs --n 6")
+    if surface[0] == "sphere" and surface[1] != args.n:
+        raise PreconditionError("--surface strand count must match --n")
+    rendered = render_word(surface, word.letters)
     doc = {
         "surface": surface_label(surface),
         "n": args.n,

@@ -21,18 +21,17 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import homology
-from .braid import BraidWord, BrunnianReport, brunnian_check, is_trivial_sphere
-from .budget import LetterBudget
-from .certificate import (
-    Certificate,
-    JUSTIFY_CHARPOLY,
-    JUSTIFY_GENUS2_BRUNNIAN,
-    JUSTIFY_NONE,
-    STATUS_PSEUDO_ANOSOV,
-    STATUS_TRIVIAL,
-    STATUS_UNDETERMINED,
-    render_letters,
+from .braid import (
+    BraidWord,
+    BrunnianReport,
+    _acts_innerly,
+    _fold_verdicts,
+    _strand_verdicts,
+    brunnian_check,
+    is_trivial_sphere,
 )
+from .budget import LetterBudget, unless_aborted
+from .certificate import Certificate
 from .freegroup import Letters, Word, commutator  # noqa: F401 (public name)
 
 GENERATOR_COUNT = 5
@@ -73,10 +72,22 @@ def involution_word() -> TwistWord:
         action = homology.rho(word)
         if not action.is_neg_identity:
             raise AssertionError("involution word must act as -I on homology")
-        if not is_trivial_sphere(project(word), lift=action):
+        if not is_trivial_sphere(project(word)):
             raise AssertionError("involution word must project to a trivial class")
         _involution = word
     return _involution
+
+
+def _is_trivial(action: homology.SymplecticMatrix, projection: BraidWord,
+                budget: LetterBudget) -> bool:
+    """Genus-2 triviality from the word's homology action and projection.
+
+    Any action but the identity already makes the word nontrivial.  With
+    the identity the projection's six-puncture screen passes, so only
+    the exact engine runs on it: purity, then innerness.
+    """
+    return (action.is_identity and projection.permutation().is_identity()
+            and _acts_innerly(projection, budget))
 
 
 def is_trivial_genus2(word: TwistWord,
@@ -88,12 +99,8 @@ def is_trivial_genus2(word: TwistWord,
     homology side is evaluated first: it is cheap and already rules out
     the involution coset.
     """
-    if budget is None:
-        budget = LetterBudget()
-    action = homology.rho(word)
-    if not action.is_identity:
-        return False
-    return is_trivial_sphere(project(word), budget, action)
+    return _is_trivial(homology.rho(word), project(word),
+                       LetterBudget() if budget is None else budget)
 
 
 def brunnian_genus2(word: TwistWord,
@@ -105,13 +112,20 @@ def brunnian_genus2(word: TwistWord,
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Verdicts for membership in the Brunnian-and-mod-3-kernel subgroup."""
+    """Verdicts for membership in the Brunnian-and-mod-3-kernel subgroup.
+
+    ``brunnian`` holds the projection's strand verdicts and the genus-2
+    word's own triviality.
+    """
 
     brunnian: BrunnianReport
     rho_mod3_identity: bool
     member: Optional[bool]
-    trivial: Optional[bool]
     action: homology.SymplecticMatrix  # integral homology action of the word
+
+    @property
+    def trivial(self) -> Optional[bool]:
+        return self.brunnian.trivial
 
 
 def membership_theorem12(word: TwistWord,
@@ -121,23 +135,21 @@ def membership_theorem12(word: TwistWord,
 
     Member exactly when the projection passes every strand check and
     the mod-3 homology action is the identity.  Budget aborts leave the
-    affected verdicts None.  The homology action is evaluated once and
-    also decides the projection's six-puncture screen.
+    affected verdicts None.  The homology action is evaluated once; the
+    exact engine runs on the projection only when that action is the
+    identity.
     """
     if budget is None:
         budget = LetterBudget()
     action = homology.rho(word)
-    report = brunnian_check(project(word), budget, action)
+    projection = project(word)
+    per_strand = _strand_verdicts(projection, projection.permutation(), budget)
+    report = BrunnianReport(
+        6, per_strand, _fold_verdicts(per_strand),
+        trivial=unless_aborted(_is_trivial, action, projection, budget))
     rho3_identity = action.mod(3).is_identity
-    if not rho3_identity or report.brunnian is False:
-        member: Optional[bool] = False
-    elif report.brunnian is None:
-        member = None
-    else:
-        member = True
-    # With homology the identity, triviality is the projection's.
-    trivial = report.trivial if action.is_identity else False
-    return MembershipReport(report, rho3_identity, member, trivial, action)
+    member = _fold_verdicts((rho3_identity, report.brunnian))
+    return MembershipReport(report, rho3_identity, member, action)
 
 
 def certify_pa_genus2(word: TwistWord,
@@ -156,39 +168,10 @@ def certify_pa_genus2(word: TwistWord,
     membership = membership_theorem12(word, budget)
     action = membership.action
     poly = homology.charpoly(action)
-    criterion = homology.casson_bleiler(poly)
-    if membership.trivial is True:
-        status, justification = STATUS_TRIVIAL, JUSTIFY_NONE
-    elif membership.member is True and membership.trivial is False:
-        status, justification = STATUS_PSEUDO_ANOSOV, JUSTIFY_GENUS2_BRUNNIAN
-    elif criterion == "pa_certified":
-        status, justification = STATUS_PSEUDO_ANOSOV, JUSTIFY_CHARPOLY
-    else:
-        status, justification = STATUS_UNDETERMINED, JUSTIFY_NONE
-    projection = project(word)
-    perm = projection.permutation()
-    report = membership.brunnian
-    checks = {
-        "pure": perm.is_identity(),
-        "trivial": membership.trivial,
-        "brunnian_per_strand": list(report.per_strand),
-        "brunnian": report.brunnian,
-        "rho_mod3_identity": membership.rho_mod3_identity,
-        "rho_integral": [[str(x) for x in row] for row in action.rows],
-        "charpoly": [str(c) for c in poly.coefficients],
-        "casson_bleiler": criterion,
-    }
-    word_text = render_letters("d", word.letters)
-    return Certificate(
-        surface=("genus2",),
-        input_text=word_text if input_text is None else input_text,
-        word_text=word_text,
-        length=len(word.letters),
-        permutation=perm.images,
-        checks=checks,
-        status=status,
-        justification=justification,
-        letters_used=budget.used,
-        letter_cap=budget.cap,
-        aborted=budget.exhausted,
-    )
+    return Certificate.build(
+        ("genus2",), word, project(word).permutation(), membership.brunnian,
+        budget, input_text,
+        rho_mod3_identity=membership.rho_mod3_identity,
+        rho_integral=[[str(x) for x in row] for row in action.rows],
+        charpoly=[str(c) for c in poly.coefficients],
+        casson_bleiler=homology.casson_bleiler(poly))

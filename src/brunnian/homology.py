@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .errors import PreconditionError
 
@@ -291,85 +291,30 @@ def charpoly(m: SymplecticMatrix) -> CharPolynomial:
     return CharPolynomial(tuple(coeffs))
 
 
-# The four irreducible degree-4 cyclotomic polynomials (orders 5, 8, 10, 12).
-_DEGREE4_CYCLOTOMICS = frozenset({
-    (1, 1, 1, 1, 1),
-    (1, 0, 0, 0, 1),
-    (1, -1, 1, -1, 1),
-    (1, 0, -1, 0, 1),
-})
+# The irreducible degree-4 cyclotomic polynomials with a nonzero cubic
+# coefficient (orders 5 and 10; those of orders 8 and 12 are in x^2).
+_CYCLOTOMICS_5_10 = frozenset({(1, 1, 1, 1, 1), (1, -1, 1, -1, 1)})
 
 CassonBleilerVerdict = Literal["pa_certified", "inconclusive"]
-
-
-def _signed_divisors(n: int) -> Iterable[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    for d in small + large[::-1]:
-        yield d
-        yield -d
-
-
-def _has_integer_root(q: CharPolynomial) -> bool:
-    d = q.coefficients[4]
-    if d == 0:
-        return True
-    return any(q.evaluate(r) == 0 for r in _signed_divisors(d))
-
-
-def _has_quadratic_split(q: CharPolynomial) -> bool:
-    """Search (x^2+px+r)(x^2+sx+t) over the divisors of the constant term."""
-    _, a, b, c, d = q.coefficients
-    if d == 0:
-        return True
-    for r in _signed_divisors(d):
-        t = d // r
-        if r * t != d:
-            continue
-        if t != r:
-            p, rem = divmod(c - a * r, t - r)
-            if rem:
-                continue
-            s = a - p
-            if r + t + p * s == b:
-                return True
-        else:
-            if c != a * r:
-                continue
-            disc = a * a - 4 * (b - 2 * r)
-            if disc < 0:
-                continue
-            root = isqrt(disc)
-            if root * root == disc and (a + root) % 2 == 0:
-                return True
-    return False
 
 
 def casson_bleiler(q: CharPolynomial) -> CassonBleilerVerdict:
     """Sufficient homological test for a mapping class to be pseudo-Anosov.
 
     Certifies when the characteristic polynomial of the homology action
-    is irreducible over Q, is not one of the degree-4 cyclotomics, and
-    is not a polynomial in x^k for k >= 2.  Rational factorisations of a
-    monic integer quartic are integral, so irreducibility reduces to an
-    integer-root test plus an exhaustive quadratic-splitting search over
-    the divisors of the constant term.
+    is irreducible over Q, is not cyclotomic, and is not a polynomial in
+    x^k for k >= 2.  The polynomial of a symplectic matrix is reciprocal,
+    q = x^4 + a x^3 + b x^2 + a x + 1 = x^2 (y^2 + a y + b - 2) with
+    y = x + 1/x, so q factors over Q exactly when a^2 - 4(b - 2) is a
+    square (a rational root y) or when a = 0 and it splits as
+    (x^2 + p x - 1)(x^2 - p x - 1).  With a = 0 it is a polynomial in
+    x^2 and inconclusive either way, which leaves a closed form.
     """
-    if not q.is_monic:
-        raise PreconditionError("criterion applies to monic degree-4 polynomials")
-    if _has_integer_root(q):
+    if not (q.is_monic and q.is_palindromic):
+        raise PreconditionError("criterion applies to monic reciprocal quartics")
+    a, b = q.coefficients[1], q.coefficients[2]
+    disc = a * a - 4 * (b - 2)
+    if (a == 0 or (disc >= 0 and isqrt(disc) ** 2 == disc)
+            or q.coefficients in _CYCLOTOMICS_5_10):
         return "inconclusive"
-    if _has_quadratic_split(q):
-        return "inconclusive"
-    if q.coefficients in _DEGREE4_CYCLOTOMICS:
-        return "inconclusive"
-    if q.coefficients[1] == 0 and q.coefficients[3] == 0:
-        return "inconclusive"  # polynomial in x^2
     return "pa_certified"

@@ -4,6 +4,7 @@
     item := atom ('^' int)?
     atom := GEN | '[' word ',' word ']' | '(' word ')'
     GEN  := ('s' | 'd') uint
+    uint := [0-9]+
 
 Tokens may be whitespace-separated or adjacent.  ``s`` generators
 belong to sphere surfaces (index below the strand count), ``d``
@@ -59,6 +60,27 @@ class _Token:
     value: int = 0
 
 
+_DIGITS = "0123456789"
+
+
+def _uint(text: str, token: int, start: int, missing: str) -> tuple[int, int]:
+    """The ASCII digit run at ``start`` as (value, end).
+
+    An empty run or one too long to convert is a WordSyntaxError at the
+    token's position.
+    """
+    end = start
+    while end < len(text) and text[end] in _DIGITS:
+        end += 1
+    if end == start:
+        raise WordSyntaxError(missing, token)
+    try:
+        return int(text[start:end]), end
+    except ValueError:  # beyond the interpreter's integer string limit
+        raise WordSyntaxError(f"number of {end - start} digits is too long",
+                              token) from None
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -73,29 +95,16 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch in "sd":
-            start = i
-            i += 1
-            digits = ""
-            while i < n and text[i].isdigit():
-                digits += text[i]
-                i += 1
-            if not digits:
-                raise WordSyntaxError("generator letter needs an index", start)
-            tokens.append(_Token("gen", start, prefix=ch, value=int(digits)))
+            value, end = _uint(text, i, i + 1, "generator letter needs an index")
+            tokens.append(_Token("gen", i, prefix=ch, value=value))
+            i = end
             continue
-        if ch == "-" or ch.isdigit():
-            start = i
-            sign = 1
-            if ch == "-":
-                sign = -1
-                i += 1
-            digits = ""
-            while i < n and text[i].isdigit():
-                digits += text[i]
-                i += 1
-            if not digits:
-                raise WordSyntaxError("expected digits after '-'", start)
-            tokens.append(_Token("int", start, value=sign * int(digits)))
+        if ch == "-" or ch in _DIGITS:
+            sign = -1 if ch == "-" else 1
+            value, end = _uint(text, i, i + (ch == "-"),
+                               "expected digits after '-'")
+            tokens.append(_Token("int", i, value=sign * value))
+            i = end
             continue
         raise WordSyntaxError(f"unexpected character {ch!r}", i)
     return tokens
@@ -142,7 +151,7 @@ class _Parser:
             if exponent < 0:
                 atom = list(_invert(atom))
                 exponent = -exponent
-            return atom * exponent
+            return atom * exponent if atom else atom
         return atom
 
     def parse_atom(self) -> list[int]:

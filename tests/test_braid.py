@@ -4,6 +4,7 @@ import pytest
 
 from brunnian import (
     BraidWord,
+    Certificate,
     FreeAutomorphism,
     FreeWord,
     LetterBudget,
@@ -346,6 +347,22 @@ class TestCertifySphere:
     def test_small_sphere_rejected(self):
         with pytest.raises(PreconditionError):
             certify_pa_sphere(BraidWord.identity(4))
+
+    def test_conclusion_must_follow_from_the_checks(self):
+        checks = {"pure": True, "trivial": False,
+                  "brunnian_per_strand": [True] * 5, "brunnian": True}
+
+        def cert(status, justification):
+            return Certificate(("sphere", 5), "w", "w", 0, (1, 2, 3, 4, 5),
+                               checks, status, justification, 0, 1, False)
+
+        assert cert("pseudo_anosov", "theorem-1.1").status == "pseudo_anosov"
+        for status, justification in [("undetermined", "none"),
+                                      ("trivial", "none"),
+                                      ("pseudo_anosov", "casson-bleiler"),
+                                      ("pseudo_anosov", "theorem-1.2")]:
+            with pytest.raises(ValueError):
+                cert(status, justification)
 
     def test_certificate_has_no_genus2_fields(self):
         cert = certify_pa_sphere(BraidWord.identity(6))

@@ -256,6 +256,23 @@ class TestErrorsAndInput:
         assert code == 1
         assert err.startswith("parse error") and "Traceback" not in err
 
+    @pytest.mark.parametrize("word", [
+        "s\u00b2", "s1^\u00b2",            # superscript two
+        "s\u0661",                          # Arabic-Indic digit one
+        "s1^" + "9" * 5000, "s1^-" + "9" * 5000, "s" + "1" * 5000,
+    ], ids=["gen-sup2", "exp-sup2", "arabic-indic", "long-exp",
+            "long-neg-exp", "long-index"])
+    def test_only_ascii_digits_of_convertible_length_parse(self, capsys, word):
+        code, out, err = run(capsys, "check", "--surface", "sphere:5",
+                             "--word", word)
+        assert (code, out) == (1, "")
+        assert err.startswith("parse error") and "Traceback" not in err
+
+    def test_huge_power_of_the_empty_word(self, capsys):
+        code, out, _ = run(capsys, "check", "--surface", "sphere:5",
+                           "--word", "()^" + "9" * 30)
+        assert (code, out) == (0, "trivial\n")
+
     def test_moderate_nesting_parses(self, capsys):
         word = "(" * 50 + "s1" + ")" * 50
         code, out, _ = run(capsys, "check", "--surface", "sphere:5",

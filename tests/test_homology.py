@@ -278,6 +278,30 @@ class TestCassonBleiler:
                     assert not oracles.divides_x_power_minus_one(q.coefficients, m)
         assert seen >= 2
 
+    def test_closed_form_agrees_with_sympy_on_a_grid(self):
+        # Certified exactly when irreducible, not cyclotomic and not a
+        # polynomial in x^k (for a reciprocal quartic: a != 0).  The extra
+        # b = -(p^2 + 2) give x^4 - (p^2 + 2) x^2 + 1, which splits into
+        # the non-reciprocal (x^2 + p x - 1)(x^2 - p x - 1).
+        x = sympy.symbols("x")
+        cyclotomic = {tuple(sympy.Poly(sympy.cyclotomic_poly(k, x)).all_coeffs())
+                      for k in (5, 8, 10, 12)}
+        bs = list(range(-40, 41)) + [-(p * p + 2) for p in range(7, 13)]
+        for a in range(-8, 9):
+            for b in bs:
+                coeffs = (1, a, b, a, 1)
+                irreducible = sympy.Poly(
+                    x**4 + a * x**3 + b * x**2 + a * x + 1, x).is_irreducible
+                expected = irreducible and a != 0 and coeffs not in cyclotomic
+                verdict = casson_bleiler(CharPolynomial(coeffs))
+                assert (verdict == "pa_certified") == expected, coeffs
+
     def test_non_monic_rejected(self):
         with pytest.raises(PreconditionError):
             casson_bleiler(CharPolynomial((2, 0, 0, 0, 1)))
+
+    @pytest.mark.parametrize("coeffs", [(1, 2, 3, 4, 1), (1, 0, 0, 0, -1),
+                                        (1, -1, -1, -1, 2)])
+    def test_non_reciprocal_rejected(self, coeffs):
+        with pytest.raises(PreconditionError):
+            casson_bleiler(CharPolynomial(coeffs))

@@ -3,12 +3,16 @@
 * Internal invariants are checked by code that ``python -O`` keeps:
   the package source holds no ``assert`` statement.
 * A genus-2 ``check``, ``brunnian`` or ``certify`` evaluates the
-  integral homology action exactly once.
+  integral homology action exactly once, and runs the free-group engine
+  on the projection only when that action is the identity.
+* The six-puncture screen is internal: no public function takes a
+  precomputed homology action.
 * The library example in README.md runs.
 """
 
 import ast
 import contextlib
+import inspect
 import io
 import re
 import sys
@@ -17,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import brunnian
-from brunnian import homology, involution_word
+from brunnian import braid, homology, involution_word, membership_theorem12
 from brunnian.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +53,41 @@ def rho_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def action_table_sizes(monkeypatch):
+    """Strand counts of the calls through every binding of ``_action_table``."""
+    involution_word()  # its first-use check runs the engine
+    original = braid._action_table
+    sizes = []
+
+    def recorded(n, letters, budget):
+        sizes.append(n)
+        return original(n, letters, budget)
+
+    for name, module in list(sys.modules.items()):
+        if name == "brunnian" or name.startswith("brunnian."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorded)
+    return sizes
+
+
+def test_no_engine_run_on_a_projection_acting_as_minus_identity(
+        action_table_sizes):
+    # The involution projects to a trivial class, so each of the six
+    # five-strand removals needs the engine; its own action is -I, which
+    # already decides that the genus-2 word is nontrivial.
+    report = membership_theorem12(involution_word())
+    assert report.brunnian.trivial is False
+    assert action_table_sizes == [5] * 6
+
+
+@pytest.mark.parametrize("function", [brunnian.is_trivial_sphere,
+                                      brunnian.brunnian_check])
+def test_no_homology_lift_parameter(function):
+    assert "lift" not in inspect.signature(function).parameters
 
 
 @pytest.mark.parametrize("command", ["check", "brunnian", "certify"])
