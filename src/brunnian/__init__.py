@@ -10,12 +10,10 @@ from .braid import (
     brunnian_example,
     certify_pa_sphere,
     is_trivial_sphere,
-    sphere_action,
 )
 from .budget import DEFAULT_LETTER_CAP, LetterBudget
 from .certificate import Certificate, canonical_json, render_letters
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
-from .freegroup import FreeAutomorphism, FreeWord
 from .genus2 import (
     MembershipReport,
     TwistWord,
@@ -46,8 +44,6 @@ __all__ = [
     "Certificate",
     "CharPolynomial",
     "DEFAULT_LETTER_CAP",
-    "FreeAutomorphism",
-    "FreeWord",
     "LetterBudget",
     "LetterBudgetExceeded",
     "MembershipReport",
@@ -75,6 +71,5 @@ __all__ = [
     "render_letters",
     "rho",
     "rho_mod",
-    "sphere_action",
     "transvection",
 ]

@@ -44,8 +44,6 @@ from .budget import LetterBudget, unless_aborted
 from .certificate import Certificate
 from .errors import PreconditionError
 from .freegroup import (
-    FreeAutomorphism,
-    FreeWord,
     Letters,
     Word,
     _apply,
@@ -179,22 +177,6 @@ def _action_table(n: int, letters: Iterable[int],
     return images
 
 
-def sphere_action(word: BraidWord,
-                  budget: LetterBudget | None = None) -> FreeAutomorphism:
-    """Action of the word on the rank n-1 fundamental group of the sphere.
-
-    Homomorphic orientation: sphere_action(u * v) equals
-    sphere_action(u).compose(sphere_action(v)).
-    """
-    if word.n < 3:
-        raise PreconditionError("the action needs at least three punctures")
-    if budget is None:
-        budget = LetterBudget()
-    table = _action_table(word.n, word.letters, budget)
-    rank = word.n - 1
-    return FreeAutomorphism([FreeWord(rank, t) for t in table])
-
-
 def _acts_innerly(word: BraidWord, budget: LetterBudget) -> bool:
     """The free-group engine on a pure word: is its action inner?"""
     table = _action_table(word.n, word.letters, budget)
@@ -212,15 +194,19 @@ def is_trivial_sphere(word: BraidWord,
     """
     if word.n < 4:
         raise PreconditionError("triviality testing needs at least four punctures")
-    if not word.permutation().is_identity():
-        return False
+    return word.permutation().is_identity() and _is_trivial_pure(
+        word, LetterBudget() if budget is None else budget)
+
+
+def _is_trivial_pure(word: BraidWord, budget: LetterBudget) -> bool:
+    """is_trivial_sphere on a word whose permutation is known to be trivial."""
     if word.n == 6:
         # Cheap negative screen through the genus-2 double cover: the
         # letterwise lift of a trivial word has homology action +-I.
         lift = homology.rho(word.letters)
         if not (lift.is_identity or lift.is_neg_identity):
             return False
-    return _acts_innerly(word, LetterBudget() if budget is None else budget)
+    return _acts_innerly(word, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +219,22 @@ class BrunnianReport:
 
     Verdict values: True/False are decided; None means the verdict was
     not reached (letter-budget abort, or a strand not fixed so never
-    evaluated).  ``brunnian`` is the conjunction of the per-strand
-    verdicts; ``trivial`` is the triviality verdict of the word itself.
+    evaluated).  ``trivial`` is the triviality verdict of the word
+    itself and ``permutation`` its puncture permutation.
     """
 
-    n: int
+    permutation: Permutation
     per_strand: tuple[Optional[bool], ...]
-    brunnian: Optional[bool]
     trivial: Optional[bool]
 
     def __post_init__(self):
-        if len(self.per_strand) != self.n:
+        if len(self.per_strand) != self.permutation.n:
             raise PreconditionError("need one verdict per strand")
-        if self.brunnian != _fold_verdicts(self.per_strand):
-            raise PreconditionError(
-                "overall verdict must be the conjunction of the strand verdicts")
+
+    @property
+    def brunnian(self) -> Optional[bool]:
+        """The conjunction of the per-strand verdicts."""
+        return _fold_verdicts(self.per_strand)
 
 
 def _fold_verdicts(verdicts: Iterable[Optional[bool]]) -> Optional[bool]:
@@ -268,7 +255,8 @@ def _strand_verdicts(word: BraidWord, perm: Permutation,
     moved strands report False, fixed strands stay unevaluated.  With
     four strands the removed words live on the three-punctured sphere,
     whose puncture-fixing mapping class group is trivial, so purity
-    alone decides those strands.
+    alone decides those strands.  Forgetting a strand of a pure word
+    leaves a pure word, so no removal recomputes a permutation.
     """
     n = word.n
     if not perm.is_identity():
@@ -277,7 +265,7 @@ def _strand_verdicts(word: BraidWord, perm: Permutation,
     for i in range(1, n + 1):
         removed = word.remove_strand(i)
         verdicts.append(True if removed.n == 3
-                        else unless_aborted(is_trivial_sphere, removed, budget))
+                        else unless_aborted(_is_trivial_pure, removed, budget))
     return tuple(verdicts)
 
 
@@ -288,15 +276,14 @@ def brunnian_check(word: BraidWord,
     Accepts n >= 4; certification (see certify_pa_sphere) additionally
     requires n >= 5.  Budget aborts leave the affected verdicts None.
     """
-    n = word.n
-    if n < 4:
+    if word.n < 4:
         raise PreconditionError("Brunnian checks need at least four strands")
     if budget is None:
         budget = LetterBudget()
     perm = word.permutation()
     per_strand = _strand_verdicts(word, perm, budget)
-    trivial = perm.is_identity() and unless_aborted(is_trivial_sphere, word, budget)
-    return BrunnianReport(n, per_strand, _fold_verdicts(per_strand), trivial)
+    trivial = perm.is_identity() and unless_aborted(_is_trivial_pure, word, budget)
+    return BrunnianReport(perm, per_strand, trivial)
 
 
 def certify_pa_sphere(word: BraidWord,
@@ -312,9 +299,8 @@ def certify_pa_sphere(word: BraidWord,
         raise PreconditionError("certification needs at least five punctures")
     if budget is None:
         budget = LetterBudget()
-    report = brunnian_check(word, budget)
-    return Certificate.build(("sphere", word.n), word, word.permutation(),
-                             report, budget, input_text)
+    return Certificate.build(("sphere", word.n), word,
+                             brunnian_check(word, budget), budget, input_text)
 
 
 def brunnian_example(n: int) -> BraidWord:

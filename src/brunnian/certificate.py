@@ -108,16 +108,16 @@ class Certificate:
         self.validate()
 
     @classmethod
-    def build(cls, surface: tuple, word, permutation, report, budget,
+    def build(cls, surface: tuple, word, report, budget,
               input_text: str | None = None, **extra_checks) -> "Certificate":
         """Certificate of ``word`` from its Brunnian report and extra checks.
 
-        ``report`` carries the strand verdicts and the word's own
-        triviality, ``permutation`` its puncture permutation; resources
-        are read off ``budget`` and the conclusion is :func:`conclude`'s.
+        ``report`` carries the puncture permutation, the strand verdicts
+        and the word's own triviality; resources are read off ``budget``
+        and the conclusion is :func:`conclude`'s.
         """
         checks = {
-            "pure": permutation.is_identity(),
+            "pure": report.permutation.is_identity(),
             "trivial": report.trivial,
             "brunnian_per_strand": list(report.per_strand),
             "brunnian": report.brunnian,
@@ -126,7 +126,7 @@ class Certificate:
         status, justification = conclude(surface, checks)
         word_text = render_word(surface, word.letters)
         return cls(surface, word_text if input_text is None else input_text,
-                   word_text, len(word.letters), permutation.images, checks,
+                   word_text, len(word.letters), report.permutation.images, checks,
                    status, justification, budget.used, budget.cap,
                    budget.exhausted)
 
@@ -157,9 +157,6 @@ class Certificate:
             },
             "conventions": dict(CONVENTIONS),
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_document())
 
     def summary(self) -> str:
         return f"status={self.status} justification={self.justification}"

@@ -15,7 +15,7 @@ from . import braid, genus2, homology
 from .budget import DEFAULT_LETTER_CAP, LetterBudget, unless_aborted
 from .certificate import canonical_json, render_letters, render_word
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
-from .parsing import parse_surface, parse_word, surface_label
+from .parsing import integer, parse_surface, parse_word, surface_label
 
 
 class _UsageError(Exception):
@@ -37,7 +37,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--word", help="word text; read from stdin when omitted")
     common.add_argument("--json", action="store_true",
                         help="emit canonical JSON instead of text")
-    common.add_argument("--max-letters", type=int, default=DEFAULT_LETTER_CAP,
+    common.add_argument("--max-letters", type=integer, default=DEFAULT_LETTER_CAP,
                         help="letter budget for the computation "
                              f"(default {DEFAULT_LETTER_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -49,13 +49,13 @@ def _build_parser() -> _Parser:
                    help="project a genus-2 word to the six-strand sphere")
     hom = sub.add_parser("homology", parents=[common],
                          help="homology action of a genus-2 word")
-    hom.add_argument("--mod", type=int, default=None,
+    hom.add_argument("--mod", type=integer, default=None,
                      help="reduce the matrix modulo this prime")
     sub.add_parser("certify", parents=[common],
                    help="emit a certificate for the word")
     ex = sub.add_parser("example", parents=[common],
                         help="emit the nested-commutator Brunnian example")
-    ex.add_argument("--n", type=int, required=True, help="strand count (>= 5)")
+    ex.add_argument("--n", type=integer, required=True, help="strand count (>= 5)")
     return parser
 
 

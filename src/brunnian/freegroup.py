@@ -6,10 +6,11 @@ reduced, i.e. contains no adjacent pair ``a, -a``.  Free reduction of a
 raw letter sequence is done with a single stack pass, so all word
 operations here are linear in their input size.
 
-Automorphisms are generator-image tables.  Composition follows the
-function convention ``(phi.compose(psi))(w) == phi.apply(psi.apply(w))``.
+An automorphism exists only as its raw generator-image table, a sequence
+of reduced words with ``images[i-1]`` the image of ``x_i``; ``_apply``
+substitutes a table into a word.
 
-The inner-automorphism detector is the triviality oracle behind the
+The inner-automorphism detector is the triviality test behind the
 mapping-class word problem: for rank at least two a free group has
 trivial center, so an inner automorphism is conjugation by exactly one
 element, and that element is recovered exactly or ruled out.
@@ -17,7 +18,7 @@ element, and that element is recovered exactly or ruled out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
 from .budget import LetterBudget
@@ -30,7 +31,7 @@ Letters = tuple[int, ...]
 # raw-tuple primitives
 #
 # These operate on plain tuples so the braid engine can run its hot loops
-# without re-validating intermediate words. Public classes wrap them.
+# without re-validating intermediate words; Word wraps the ones it needs.
 # ---------------------------------------------------------------------------
 
 def _reduce(letters: Iterable[int]) -> Letters:
@@ -135,14 +136,14 @@ def _inner_conjugator(rank: int, images: Sequence[Letters]) -> Optional[Letters]
 
 
 # ---------------------------------------------------------------------------
-# public value types
+# the shared word core
 # ---------------------------------------------------------------------------
 
 class Word:
     """Shared core of the freely reduced word types.
 
     A subclass is a frozen dataclass whose last field is ``letters``; its
-    other fields name the group (a rank, a strand count, or nothing) and
+    other fields name the group (a strand count, or nothing) and
     ``bound`` is the largest generator index they allow.  Construction
     validates the letters and requires them freely reduced; the
     subclass's raw-letter constructor reduces them first.  Operations
@@ -202,141 +203,3 @@ class Word:
 
 def commutator(u: Word, v: Word) -> Word:
     return u * v * u.invert() * v.invert()
-
-
-@dataclass(frozen=True)
-class FreeWord(Word):
-    """A freely reduced word in the free group of the given rank."""
-
-    rank: int
-    letters: Letters = ()
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise PreconditionError("rank must be a positive integer")
-        super().__post_init__()
-
-    @property
-    def bound(self) -> int:
-        return self.rank
-
-    @classmethod
-    def reduce(cls, rank: int, letters: Iterable[int]) -> "FreeWord":
-        """Freely reduce a raw letter sequence. Idempotent."""
-        return cls._from_raw(letters, rank)
-
-    @classmethod
-    def generator(cls, rank: int, index: int, sign: int = 1) -> "FreeWord":
-        if sign not in (1, -1):
-            raise PreconditionError("sign must be +1 or -1")
-        return cls(rank, (sign * index,))
-
-    def cyclic_reduce(self) -> tuple["FreeWord", "FreeWord"]:
-        """Return (p, core) with self == p * core * p^-1, core cyclically reduced."""
-        p, core = _cyclic_split(self.letters)
-        return self._with(p), self._with(core)
-
-
-class FreeAutomorphism:
-    """Automorphism of a free group given by its generator images.
-
-    If ``inverse_images`` is supplied the table is verified to compose
-    to the identity on both sides, and the automorphism carries its
-    verified inverse.
-    """
-
-    __slots__ = ("rank", "images", "_raw", "_inv_cache", "_inverse")
-
-    def __init__(self, images: Sequence[FreeWord],
-                 inverse_images: Sequence[FreeWord] | None = None):
-        images = tuple(images)
-        if not images:
-            raise PreconditionError("automorphism needs at least one generator image")
-        rank = len(images)
-        for im in images:
-            if im.rank != rank:
-                raise PreconditionError("all images must share the table rank")
-        self.rank = rank
-        self.images = images
-        self._raw = tuple(im.letters for im in images)
-        self._inv_cache: dict[int, Letters] = {}
-        self._inverse: "FreeAutomorphism | None" = None
-        if inverse_images is not None:
-            inverse = FreeAutomorphism(inverse_images)
-            if not (self.compose(inverse).is_identity()
-                    and inverse.compose(self).is_identity()):
-                raise PreconditionError("inverse table does not compose to identity")
-            self._inverse = inverse
-            inverse._inverse = self
-
-    @classmethod
-    def identity(cls, rank: int) -> "FreeAutomorphism":
-        gens = [FreeWord.generator(rank, i) for i in range(1, rank + 1)]
-        aut = cls(gens)
-        aut._inverse = aut
-        return aut
-
-    @classmethod
-    def conjugation(cls, w: FreeWord) -> "FreeAutomorphism":
-        """The inner automorphism x -> w x w^-1."""
-        rank = w.rank
-        if rank < 1:
-            raise PreconditionError("rank must be positive")
-        w_inv = w.invert()
-        images = [w * FreeWord.generator(rank, i) * w_inv
-                  for i in range(1, rank + 1)]
-        aut = cls(images)
-        inv = cls([w_inv * FreeWord.generator(rank, i) * w
-                   for i in range(1, rank + 1)])
-        aut._inverse = inv
-        inv._inverse = aut
-        return aut
-
-    @property
-    def verified_invertible(self) -> bool:
-        return self._inverse is not None
-
-    @property
-    def inverse(self) -> "FreeAutomorphism | None":
-        return self._inverse
-
-    def apply(self, word: FreeWord, budget: LetterBudget | None = None) -> FreeWord:
-        if word.rank != self.rank:
-            raise PreconditionError("rank mismatch")
-        if budget is None:
-            budget = LetterBudget()
-        return FreeWord(self.rank,
-                        _apply(self._raw, word.letters, budget, self._inv_cache))
-
-    def compose(self, other: "FreeAutomorphism",
-                budget: LetterBudget | None = None) -> "FreeAutomorphism":
-        """Return self after other: (self.compose(other))(w) = self(other(w))."""
-        if other.rank != self.rank:
-            raise PreconditionError("rank mismatch")
-        if budget is None:
-            budget = LetterBudget()
-        images = [FreeWord(self.rank,
-                           _apply(self._raw, im, budget, self._inv_cache))
-                  for im in other._raw]
-        return FreeAutomorphism(images)
-
-    def inner_conjugator(self) -> Optional[FreeWord]:
-        """The unique w with self == conjugation(w), or None if not inner."""
-        found = _inner_conjugator(self.rank, self._raw)
-        if found is None:
-            return None
-        return FreeWord(self.rank, found)
-
-    def is_identity(self) -> bool:
-        return all(im == (i + 1,) for i, im in enumerate(self._raw))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FreeAutomorphism):
-            return NotImplemented
-        return self.rank == other.rank and self._raw == other._raw
-
-    __hash__ = None  # mutable caches; equality is by table
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"x{i + 1}->{im}" for i, im in enumerate(self._raw))
-        return f"FreeAutomorphism({body})"

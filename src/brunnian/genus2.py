@@ -24,6 +24,7 @@ from . import homology
 from .braid import (
     BraidWord,
     BrunnianReport,
+    Permutation,
     _acts_innerly,
     _fold_verdicts,
     _strand_verdicts,
@@ -79,14 +80,14 @@ def involution_word() -> TwistWord:
 
 
 def _is_trivial(action: homology.SymplecticMatrix, projection: BraidWord,
-                budget: LetterBudget) -> bool:
+                perm: Permutation, budget: LetterBudget) -> bool:
     """Genus-2 triviality from the word's homology action and projection.
 
     Any action but the identity already makes the word nontrivial.  With
     the identity the projection's six-puncture screen passes, so only
     the exact engine runs on it: purity, then innerness.
     """
-    return (action.is_identity and projection.permutation().is_identity()
+    return (action.is_identity and perm.is_identity()
             and _acts_innerly(projection, budget))
 
 
@@ -99,7 +100,8 @@ def is_trivial_genus2(word: TwistWord,
     homology side is evaluated first: it is cheap and already rules out
     the involution coset.
     """
-    return _is_trivial(homology.rho(word), project(word),
+    projection = project(word)
+    return _is_trivial(homology.rho(word), projection, projection.permutation(),
                        LetterBudget() if budget is None else budget)
 
 
@@ -143,10 +145,10 @@ def membership_theorem12(word: TwistWord,
         budget = LetterBudget()
     action = homology.rho(word)
     projection = project(word)
-    per_strand = _strand_verdicts(projection, projection.permutation(), budget)
+    perm = projection.permutation()
     report = BrunnianReport(
-        6, per_strand, _fold_verdicts(per_strand),
-        trivial=unless_aborted(_is_trivial, action, projection, budget))
+        perm, _strand_verdicts(projection, perm, budget),
+        trivial=unless_aborted(_is_trivial, action, projection, perm, budget))
     rho3_identity = action.mod(3).is_identity
     member = _fold_verdicts((rho3_identity, report.brunnian))
     return MembershipReport(report, rho3_identity, member, action)
@@ -169,8 +171,7 @@ def certify_pa_genus2(word: TwistWord,
     action = membership.action
     poly = homology.charpoly(action)
     return Certificate.build(
-        ("genus2",), word, project(word).permutation(), membership.brunnian,
-        budget, input_text,
+        ("genus2",), word, membership.brunnian, budget, input_text,
         rho_mod3_identity=membership.rho_mod3_identity,
         rho_integral=[[str(x) for x in row] for row in action.rows],
         charpoly=[str(c) for c in poly.coefficients],

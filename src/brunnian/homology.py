@@ -86,20 +86,6 @@ class SymplecticMatrix:
 
     __matmul__ = mul
 
-    def det(self) -> int:
-        """Exact determinant by cofactor expansion on the first row."""
-        def det3(m):
-            return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        total = 0
-        for j in range(4):
-            minor = [[self.rows[i][k] for k in range(4) if k != j]
-                     for i in range(1, 4)]
-            term = self.rows[0][j] * det3(minor)
-            total += term if j % 2 == 0 else -term
-        return total
-
     def is_symplectic(self) -> bool:
         """Exact check of M^T J M == J."""
         mt = tuple(tuple(self.rows[j][i] for j in range(4)) for i in range(4))
@@ -250,22 +236,6 @@ class CharPolynomial:
         for c in self.coefficients:
             acc = acc * t + c
         return acc
-
-    def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            deg = 4 - i
-            base = f"x^{deg}" if deg > 1 else ("x" if deg == 1 else "")
-            if abs(c) == 1 and deg > 0:
-                coeff = "-" if c < 0 else ""
-            else:
-                coeff = str(c)
-                if deg > 0:
-                    coeff += "*"
-            terms.append(coeff + base)
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 def charpoly(m: SymplecticMatrix) -> CharPolynomial:

@@ -39,9 +39,9 @@ def parse_surface(text: str) -> Surface:
         return ("genus2",)
     if text.startswith("sphere:"):
         try:
-            n = int(text.split(":", 1)[1])
-        except ValueError:
-            raise WordSyntaxError(f"bad strand count in surface {text!r}")
+            n = integer(text[len("sphere:"):])
+        except WordSyntaxError:
+            raise WordSyntaxError(f"bad strand count in surface {text!r}") from None
         if n < 2:
             raise PreconditionError("a sphere surface needs at least two punctures")
         return ("sphere", n)
@@ -63,7 +63,7 @@ class _Token:
 _DIGITS = "0123456789"
 
 
-def _uint(text: str, token: int, start: int, missing: str) -> tuple[int, int]:
+def _uint(text: str, token: int | None, start: int, missing: str) -> tuple[int, int]:
     """The ASCII digit run at ``start`` as (value, end).
 
     An empty run or one too long to convert is a WordSyntaxError at the
@@ -79,6 +79,15 @@ def _uint(text: str, token: int, start: int, missing: str) -> tuple[int, int]:
     except ValueError:  # beyond the interpreter's integer string limit
         raise WordSyntaxError(f"number of {end - start} digits is too long",
                               token) from None
+
+
+def integer(text: str) -> int:
+    """'-'? then ASCII digits: the grammar's integers, for strand counts and options."""
+    negative = text.startswith("-")
+    value, end = _uint(text, None, int(negative), f"not an integer: {text!r}")
+    if end != len(text):
+        raise WordSyntaxError(f"not an integer: {text!r}")
+    return -value if negative else value
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -1,16 +1,22 @@
 """Independent reference implementations used only by the tests.
 
 Nothing here shares an algorithm with the package: free reduction is a
-rescan-until-fixpoint loop instead of a stack, triviality on the disk
-side is decided by direct comparison against a conjugation rather than
-by conjugator recovery, and determinants come from the 24-term Leibniz
-sum.  Disagreement between these and the package is a test failure, not
-a tie to be broken.
+rescan-until-fixpoint loop instead of a stack, automorphisms are
+composed by plain substitution followed by that reduction, triviality
+on the disk side is decided by direct comparison against a conjugation
+rather than by conjugator recovery, and determinants come from the
+24-term Leibniz sum.  The package is imported only for ``BraidWord``,
+to generate words.  Disagreement between these and the package is a
+test failure, not a tie to be broken.
+
+An automorphism of the free group of rank r is a tuple of r reduced
+words, entry i - 1 being the image of x_i; the engine's tables have the
+same shape, so the two compare directly.
 """
 
 from itertools import permutations
 
-from brunnian import BraidWord, FreeAutomorphism, FreeWord
+from brunnian import BraidWord
 
 
 def naive_free_reduce(letters):
@@ -27,6 +33,37 @@ def naive_free_reduce(letters):
     return tuple(out)
 
 
+def inverse(letters):
+    return tuple(-a for a in reversed(letters))
+
+
+# ---------------------------------------------------------------------------
+# free-group automorphisms as tuples of generator images
+# ---------------------------------------------------------------------------
+
+def identity(rank):
+    return tuple((i,) for i in range(1, rank + 1))
+
+
+def substitute(images, letters):
+    """The image of a word: every letter replaced by its image, then reduced."""
+    out = []
+    for a in letters:
+        out.extend(images[a - 1] if a > 0 else inverse(images[-a - 1]))
+    return naive_free_reduce(out)
+
+
+def compose(phi, psi):
+    """phi after psi: the automorphism w -> phi(psi(w))."""
+    return tuple(substitute(phi, image) for image in psi)
+
+
+def conjugation(rank, w):
+    """The inner automorphism x -> w x w^-1."""
+    return tuple(naive_free_reduce(tuple(w) + (i,) + inverse(w))
+                 for i in range(1, rank + 1))
+
+
 # ---------------------------------------------------------------------------
 # disk-model word problem: pure braids on k strands modulo the full twist
 # ---------------------------------------------------------------------------
@@ -34,21 +71,20 @@ def naive_free_reduce(letters):
 def artin_generator(k, letter):
     """Plain Artin action of one disk-braid letter on the rank-k free group."""
     i = abs(letter)
-    images = {j: [j] for j in range(1, k + 1)}
+    images = {j: (j,) for j in range(1, k + 1)}
     if letter > 0:
-        images[i] = [i, i + 1, -i]
-        images[i + 1] = [i]
+        images[i] = (i, i + 1, -i)
+        images[i + 1] = (i,)
     else:
-        images[i] = [i + 1]
-        images[i + 1] = [-(i + 1), i, i + 1]
-    return FreeAutomorphism(
-        [FreeWord.reduce(k, images[j]) for j in range(1, k + 1)])
+        images[i] = (i + 1,)
+        images[i + 1] = (-(i + 1), i, i + 1)
+    return tuple(images[j] for j in range(1, k + 1))
 
 
 def plain_artin_action(k, letters):
-    aut = FreeAutomorphism.identity(k)
+    aut = identity(k)
     for a in letters:
-        aut = aut.compose(artin_generator(k, a))
+        aut = compose(aut, artin_generator(k, a))
     return aut
 
 
@@ -64,9 +100,9 @@ def disk_model_trivial(k, letters):
     m, rem = divmod(exponent, k * (k - 1))
     if rem:
         return False
-    boundary = FreeWord(k, tuple(range(1, k + 1)))
-    return plain_artin_action(k, letters) == FreeAutomorphism.conjugation(
-        boundary.power(m))
+    boundary = tuple(range(1, k + 1))
+    power = (boundary if m >= 0 else inverse(boundary)) * abs(m)
+    return plain_artin_action(k, letters) == conjugation(k, power)
 
 
 # ---------------------------------------------------------------------------

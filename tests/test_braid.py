@@ -5,17 +5,14 @@ import pytest
 from brunnian import (
     BraidWord,
     Certificate,
-    FreeAutomorphism,
-    FreeWord,
     LetterBudget,
     LetterBudgetExceeded,
     brunnian_check,
     brunnian_example,
     certify_pa_sphere,
     is_trivial_sphere,
-    sphere_action,
 )
-from brunnian.braid import commutator
+from brunnian.braid import _action_table, _inner_conjugator, commutator
 from brunnian.errors import PreconditionError
 
 import oracles
@@ -33,11 +30,17 @@ def full_twist(n):
     return braid(n, list(range(1, n)) * n)
 
 
+def action(n, letters):
+    """The engine's action table of a letter sequence, as a tuple."""
+    return tuple(_action_table(n, letters, LetterBudget()))
+
+
 def action_of_raw_letters(n, letters):
-    """Compose single-letter actions; bypasses word-level reduction."""
-    aut = FreeAutomorphism.identity(n - 1)
+    """Compose single-letter actions with the oracle; bypasses word-level
+    reduction and the engine's own composition."""
+    aut = oracles.identity(n - 1)
     for a in letters:
-        aut = aut.compose(sphere_action(BraidWord(n, (a,))))
+        aut = oracles.compose(aut, action(n, (a,)))
     return aut
 
 
@@ -51,7 +54,7 @@ class TestBraidWord:
         for _ in range(500):
             n = rng.randint(4, 6)
             letters = oracles.random_letters(rng, n - 1, rng.randint(0, 10))
-            assert (sphere_action(braid(n, letters))
+            assert (action(n, braid(n, letters).letters)
                     == action_of_raw_letters(n, letters))
 
     def test_generator_range_validated(self):
@@ -119,23 +122,20 @@ class TestRemoveStrand:
 
 class TestSphereAction:
     def test_empty_word(self):
-        assert sphere_action(BraidWord.identity(4)).is_identity()
+        assert action(4, ()) == oracles.identity(3)
 
     def test_first_generator_images(self):
-        aut = sphere_action(braid(4, [1]))
-        assert aut.images[0] == FreeWord(3, (1, 2, -1))
-        assert aut.images[1] == FreeWord(3, (1,))
-        assert aut.images[2] == FreeWord(3, (3,))
+        assert action(4, (1,)) == ((1, 2, -1), (1,), (3,))
 
     def test_last_generator_uses_eliminated_loop(self):
-        aut = sphere_action(braid(4, [3]))
-        assert aut.images[2] == FreeWord(3, (-2, -1, -3))
+        assert action(4, (3,))[2] == (-2, -1, -3)
 
     def test_inverse_pairs_cancel(self):
         for n in range(3, 9):
             for i in range(1, n):
-                assert action_of_raw_letters(n, [i, -i]).is_identity()
-                assert action_of_raw_letters(n, [-i, i]).is_identity()
+                for pair in ([i, -i], [-i, i]):
+                    assert action(n, pair) == oracles.identity(n - 1)
+                    assert action_of_raw_letters(n, pair) == oracles.identity(n - 1)
 
     def test_homomorphism(self):
         rng = random.Random(303)
@@ -143,27 +143,24 @@ class TestSphereAction:
             for _ in range(25):
                 u = oracles.random_braid(rng, n, 8)
                 v = oracles.random_braid(rng, n, 8)
-                assert (sphere_action(u * v)
-                        == sphere_action(u).compose(sphere_action(v)))
+                assert (action(n, (u * v).letters)
+                        == oracles.compose(action(n, u.letters),
+                                           action(n, v.letters)))
 
     def test_braid_relations(self):
         for n in range(3, 9):
             for i in range(1, n - 1):
-                lhs = sphere_action(BraidWord(n, (i, i + 1, i)))
-                rhs = sphere_action(BraidWord(n, (i + 1, i, i + 1)))
-                assert lhs == rhs
+                assert action(n, (i, i + 1, i)) == action(n, (i + 1, i, i + 1))
 
     def test_far_commutation(self):
         for n in range(3, 9):
             for i in range(1, n):
                 for j in range(i + 2, n):
-                    lhs = sphere_action(BraidWord(n, (i, j)))
-                    rhs = sphere_action(BraidWord(n, (j, i)))
-                    assert lhs == rhs
+                    assert action(n, (i, j)) == action(n, (j, i))
 
-    def test_too_few_punctures(self):
-        with pytest.raises(PreconditionError):
-            sphere_action(BraidWord.identity(2))
+    def test_budget_abort(self):
+        with pytest.raises(LetterBudgetExceeded):
+            _action_table(5, brunnian_example(5).letters, LetterBudget(50_000))
 
 
 class TestIsTrivialSphere:
@@ -186,11 +183,12 @@ class TestIsTrivialSphere:
 
     def test_relation_word_conjugator(self):
         # The composed action of the relation word is conjugation by x1.
-        aut = sphere_action(relation_word(6))
-        assert aut.inner_conjugator() == FreeWord(5, (1,))
+        images = action(6, relation_word(6).letters)
+        assert _inner_conjugator(5, images) == (1,)
+        assert images == oracles.conjugation(5, (1,))
 
     def test_full_twist_acts_trivially(self):
-        assert sphere_action(full_twist(6)).is_identity()
+        assert action(6, full_twist(6).letters) == oracles.identity(5)
 
     def test_three_punctures_unsupported(self):
         with pytest.raises(PreconditionError):

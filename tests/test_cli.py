@@ -256,17 +256,41 @@ class TestErrorsAndInput:
         assert code == 1
         assert err.startswith("parse error") and "Traceback" not in err
 
-    @pytest.mark.parametrize("word", [
-        "s\u00b2", "s1^\u00b2",            # superscript two
-        "s\u0661",                          # Arabic-Indic digit one
-        "s1^" + "9" * 5000, "s1^-" + "9" * 5000, "s" + "1" * 5000,
+    @pytest.mark.parametrize("argv", [
+        *(("check", "--surface", "sphere:5", "--word", word) for word in (
+            "s\u00b2", "s1^\u00b2",           # superscript two
+            "s\u0661",                         # Arabic-Indic digit one
+            "s1^" + "9" * 5000, "s1^-" + "9" * 5000, "s" + "1" * 5000)),
+        *(("check", "--surface", surface, "--word", "s1 s1^-1") for surface in (
+            "sphere:\u0665", "sphere:5_0", "sphere: 5", "sphere:+5",
+            "sphere:" + "9" * 5000)),
+        *(("check", "--surface", "sphere:5", "--word", "s1",
+           "--max-letters", cap) for cap in ("\u0665\u0660\u0660", " 500 ")),
+        ("homology", "--mod", "\u0663", "--word", "d1"),
+        ("example", "--n", "\u0665"),
     ], ids=["gen-sup2", "exp-sup2", "arabic-indic", "long-exp",
-            "long-neg-exp", "long-index"])
-    def test_only_ascii_digits_of_convertible_length_parse(self, capsys, word):
-        code, out, err = run(capsys, "check", "--surface", "sphere:5",
-                             "--word", word)
+            "long-neg-exp", "long-index", "surface-arabic-indic",
+            "surface-underscore", "surface-space", "surface-plus",
+            "surface-long", "max-letters-arabic-indic", "max-letters-spaces",
+            "mod-arabic-indic", "n-arabic-indic"])
+    def test_only_ascii_digits_of_convertible_length_parse(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("parse error") and "Traceback" not in err
+        assert err.startswith(("parse error", "usage error"))
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("check", "--surface", "sphere:50", "--word", "s1 s1^-1"), 0),
+        (("check", "--surface", "sphere:-3", "--word", "s1"), 2),
+        (("check", "--surface", "sphere:5", "--word", "s1",
+          "--max-letters", "-500"), 1),
+        (("homology", "--mod", "-3", "--word", "d1"), 2),
+        (("example", "--n", "-5"), 2),
+    ])
+    def test_ascii_integers_keep_their_exit_codes(self, capsys, argv, expected):
+        code, _, err = run(capsys, *argv)
+        assert code == expected
+        assert "Traceback" not in err
 
     def test_huge_power_of_the_empty_word(self, capsys):
         code, out, _ = run(capsys, "check", "--surface", "sphere:5",

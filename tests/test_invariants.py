@@ -8,6 +8,8 @@
 * The six-puncture screen is internal: no public function takes a
   precomputed homology action.
 * The library example in README.md runs.
+* The test oracles share no code with the package: ``tests/oracles.py``
+  imports nothing from it but ``BraidWord``, which only generates words.
 """
 
 import ast
@@ -26,6 +28,7 @@ from brunnian.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(brunnian.__file__).resolve().parent
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def test_no_assert_statements_in_the_package():
@@ -109,3 +112,16 @@ def test_readme_library_example_runs():
     library = readme.split("## Library", 1)[1]
     example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_oracles_import_only_braid_word_from_the_package():
+    tree = ast.parse(ORACLES.read_text(), str(ORACLES))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+    from_package = [(module, name) for module, name in imported
+                    if module == "brunnian" or module.startswith("brunnian.")]
+    assert from_package == [("brunnian", "BraidWord")]
