@@ -145,35 +145,29 @@ class BraidWord(Word):
 # the action on the fundamental group of the punctured sphere
 # ---------------------------------------------------------------------------
 
-def _letter_images(n: int, a: int) -> dict[int, Letters]:
-    """Images of the generators moved by one braid letter (rank n-1 table)."""
-    i = abs(a)
-    r = n - 1
-    if i < r:
-        if a > 0:
-            return {i: (i, i + 1, -i), i + 1: (i,)}
-        return {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
-    # Last half twist: the eliminated loop substitutes in.
-    if a > 0:
-        return {r: tuple([-j for j in range(r - 1, 0, -1)] + [-r])}
-    return {r: tuple([-r] + [-j for j in range(r - 1, 0, -1)])}
-
-
 def _action_table(n: int, letters: Iterable[int],
                   budget: LetterBudget) -> list[Letters]:
-    """Generator images of the composed action, letters applied left to right."""
+    """Generator images of the composed action, letters applied left to right.
+
+    Each letter is its Artin step on the table in place: s_i^{+-1}
+    substitutes into one of x_i, x_{i+1} and copies the other's old
+    image, and s_{n-1}^{+-1} substitutes the eliminated loop into
+    x_{n-1}.  Only substitutions run through _apply, which charges them.
+    """
     r = n - 1
+    tail = tuple(-j for j in range(r - 1, 0, -1))
+    last_pos, last_neg = tail + (-r,), (-r,) + tail  # x_{n-1} x_n x_{n-1}^-1, x_n
     images: list[Letters] = [(i,) for i in range(1, r + 1)]
     for a in letters:
-        moved = _letter_images(n, a)
-        inv_cache: dict[int, Letters] = {}
-        updated = list(images)
-        for g, word in moved.items():
-            if len(word) == 1 and word[0] > 0:
-                updated[g - 1] = images[word[0] - 1]
-            else:
-                updated[g - 1] = _apply(images, word, budget, inv_cache)
-        images = updated
+        i = abs(a)
+        if i == r:
+            images[r - 1] = _apply(images, last_pos if a > 0 else last_neg, budget)
+        elif a > 0:
+            images[i - 1], images[i] = (
+                _apply(images, (i, i + 1, -i), budget), images[i - 1])
+        else:
+            images[i - 1], images[i] = (
+                images[i], _apply(images, (-(i + 1), i, i + 1), budget))
     return images
 
 
@@ -317,3 +311,13 @@ def brunnian_example(n: int) -> BraidWord:
     for i in range(n - 2, 0, -1):
         word = commutator(BraidWord(n, (i,) * 6), word)
     return word
+
+
+def example_length(n: int) -> int:
+    """len(brunnian_example(n)) for n >= 5, without building the word.
+
+    The innermost s_{n-1}^6 has six letters and each of the n - 2
+    commutator levels doubles the word and adds twelve, with nothing
+    cancelling: 18 * 2^(n-2) - 12.
+    """
+    return 9 * 2 ** (n - 1) - 12

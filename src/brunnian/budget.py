@@ -9,7 +9,10 @@ in-band translate the abort into an "undetermined" outcome instead of
 guessing.
 
 Linear-cost word operations (reduction, concatenation, inversion,
-strand removal) are not charged; only substitution output counts.
+strand removal) and the per-strand tables are not charged: they are
+bounded by the word and by the strand count, which parsing caps at
+MAX_STRANDS.  Substitution output counts, as do the parser's expansion
+of powers and commutators and the word the ``example`` command builds.
 """
 
 from .errors import LetterBudgetExceeded

@@ -15,7 +15,8 @@ from . import braid, genus2, homology
 from .budget import DEFAULT_LETTER_CAP, LetterBudget, unless_aborted
 from .certificate import canonical_json, render_letters, render_word
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
-from .parsing import integer, parse_surface, parse_word, surface_label
+from .parsing import (integer, parse_surface, parse_word, sphere_surface,
+                      surface_label)
 
 
 class _UsageError(Exception):
@@ -201,16 +202,23 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    surface = parse_surface(args.surface) if args.surface else ("sphere", args.n)
-    word = braid.brunnian_example(args.n)
-    if surface[0] == "genus2" and args.n != 6:
+    n = args.n
+    surface = parse_surface(args.surface) if args.surface else None
+    if n < 5:
+        raise PreconditionError("the example family starts at five strands")
+    if surface is None:
+        surface = sphere_surface(n)
+    elif surface[0] == "genus2" and n != 6:
         raise PreconditionError("the genus-2 example needs --n 6")
-    if surface[0] == "sphere" and surface[1] != args.n:
+    elif surface[0] == "sphere" and surface[1] != n:
         raise PreconditionError("--surface strand count must match --n")
+    # The word is charged in full before it is built.
+    _budget(args).charge(braid.example_length(n))
+    word = braid.brunnian_example(n)
     rendered = render_word(surface, word.letters)
     doc = {
         "surface": surface_label(surface),
-        "n": args.n,
+        "n": n,
         "word": rendered,
         "length": len(word.letters),
     }

@@ -70,25 +70,17 @@ def _cyclic_split(letters: Sequence[int]) -> tuple[Letters, Letters]:
 
 
 def _apply(images: Sequence[Letters], letters: Sequence[int],
-           budget: LetterBudget | None = None,
-           inv_cache: dict[int, Letters] | None = None) -> Letters:
-    """Substitute ``images[i-1]`` for letter ``i`` and freely reduce.
+           budget: LetterBudget | None = None) -> Letters:
+    """Substitute ``images[i-1]`` for letter ``i`` (its inverse for ``-i``)
+    and freely reduce.
 
     Charges the budget with the length of every substituted image, i.e.
     the pre-cancellation output size; this is the quantity that blows up
     on adversarial inputs.
     """
-    if inv_cache is None:
-        inv_cache = {}
     out: list[int] = []
     for a in letters:
-        if a > 0:
-            img = images[a - 1]
-        else:
-            img = inv_cache.get(a)
-            if img is None:
-                img = _invert(images[-a - 1])
-                inv_cache[a] = img
+        img = images[a - 1] if a > 0 else _invert(images[-a - 1])
         if budget is not None:
             budget.charge(len(img))
         i = 0

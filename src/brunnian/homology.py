@@ -11,8 +11,9 @@ fixed here as
 
 which realises the chain pattern <c_i, c_{i+1}> = +-1 and
 <c_i, c_j> = 0 for |i - j| >= 2.  A twist along c acts as the
-transvection x -> x + TWIST_SIGN * <x, c> c; the global sign convention
-is fixed once and recorded in emitted certificates.
+transvection x -> x + TWIST_SIGN * <x, c> c, the matrix I + s c (Jc)^T
+with s = TWIST_SIGN (s = -TWIST_SIGN for the inverse twist); the global
+sign convention is fixed once and recorded in emitted certificates.
 
 Everything here is exact integer arithmetic on 4x4 matrices; no floats.
 """
@@ -35,8 +36,6 @@ J: Rows = (
     (0, 0, -1, 0),
 )
 
-BASIS = ("a1", "b1", "a2", "b2")
-
 CHAIN_CLASSES: tuple[Row, ...] = (
     (1, 0, 0, 0),   # c1 = a1
     (0, 1, 0, 0),   # c2 = b1
@@ -51,6 +50,11 @@ TWIST_SIGN = 1
 def intersection(x: Sequence[int], y: Sequence[int]) -> int:
     """Symplectic pairing <x, y> = x^T J y."""
     return sum(x[i] * J[i][j] * y[j] for i in range(4) for j in range(4))
+
+
+def _dual(c: Sequence[int]) -> tuple[int, ...]:
+    """J c, the coefficients of the functional x -> <x, c>."""
+    return tuple(sum(J[j][k] * c[k] for k in range(4)) for j in range(4))
 
 
 def _mat_mul(a: Rows, b: Rows) -> Rows:
@@ -131,7 +135,7 @@ def transvection(c: Sequence[int], sign: int = TWIST_SIGN) -> SymplecticMatrix:
         raise PreconditionError("transvection along the zero vector is undefined")
     if sign not in (1, -1):
         raise PreconditionError("sign must be +1 or -1")
-    jc = tuple(sum(J[j][k] * c[k] for k in range(4)) for j in range(4))
+    jc = _dual(c)
     m = SymplecticMatrix(tuple(
         tuple((1 if i == j else 0) + sign * c[i] * jc[j] for j in range(4))
         for i in range(4)))
@@ -140,8 +144,7 @@ def transvection(c: Sequence[int], sign: int = TWIST_SIGN) -> SymplecticMatrix:
     return m
 
 
-_TWIST_MATRICES = {i + 1: transvection(c) for i, c in enumerate(CHAIN_CLASSES)}
-_TWIST_INVERSES = {i + 1: transvection(c, -1) for i, c in enumerate(CHAIN_CLASSES)}
+_CHAIN_DUALS = tuple(_dual(c) for c in CHAIN_CLASSES)
 
 
 def _letters_of(word) -> tuple[int, ...]:
@@ -156,12 +159,21 @@ def rho(word) -> SymplecticMatrix:
     """Homology action of a twist word, multiplied in word order.
 
     Accepts a TwistWord (or any object with signed-integer ``letters``
-    in +-1..5) and is a homomorphism: rho(uv) == rho(u) @ rho(v).
+    in +-1..5) and is a homomorphism: rho(uv) == rho(u) @ rho(v).  Each
+    letter applies its transvection in place as M <- M + s (M c)(Jc)^T.
     """
-    m = _IDENTITY_ROWS
+    m = [list(row) for row in _IDENTITY_ROWS]
     for a in _letters_of(word):
-        t = _TWIST_MATRICES[a] if a > 0 else _TWIST_INVERSES[-a]
-        m = _mat_mul(m, t.rows)
+        c, jc = CHAIN_CLASSES[abs(a) - 1], _CHAIN_DUALS[abs(a) - 1]
+        s = TWIST_SIGN if a > 0 else -TWIST_SIGN
+        for row in m:
+            t = s * (row[0] * c[0] + row[1] * c[1]
+                     + row[2] * c[2] + row[3] * c[3])
+            if t:
+                row[0] += t * jc[0]
+                row[1] += t * jc[1]
+                row[2] += t * jc[2]
+                row[3] += t * jc[3]
     result = SymplecticMatrix(m)
     if not result.is_symplectic():
         raise AssertionError("the homology action must be symplectic")

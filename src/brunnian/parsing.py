@@ -33,6 +33,21 @@ Word = Union[BraidWord, TwistWord]
 # once per level, so the limit keeps it far from the interpreter's.
 MAX_NESTING = 100
 
+# Spheres have at most this many punctures.  The per-strand sweeps and
+# the identity tables are linear in the strand count and not charged to
+# the letter budget, so the count itself needs a bound.
+MAX_STRANDS = 1000
+
+
+def sphere_surface(n: int) -> Surface:
+    """The n-punctured sphere; n outside 2..MAX_STRANDS is a PreconditionError."""
+    if n < 2:
+        raise PreconditionError("a sphere surface needs at least two punctures")
+    if n > MAX_STRANDS:
+        raise PreconditionError(
+            f"a sphere surface has at most {MAX_STRANDS} punctures")
+    return ("sphere", n)
+
 
 def parse_surface(text: str) -> Surface:
     if text == "genus2":
@@ -42,9 +57,7 @@ def parse_surface(text: str) -> Surface:
             n = integer(text[len("sphere:"):])
         except WordSyntaxError:
             raise WordSyntaxError(f"bad strand count in surface {text!r}") from None
-        if n < 2:
-            raise PreconditionError("a sphere surface needs at least two punctures")
-        return ("sphere", n)
+        return sphere_surface(n)
     raise WordSyntaxError(f"unknown surface {text!r}; use sphere:N or genus2")
 
 

@@ -12,7 +12,12 @@ from brunnian import (
     certify_pa_sphere,
     is_trivial_sphere,
 )
-from brunnian.braid import _action_table, _inner_conjugator, commutator
+from brunnian.braid import (
+    _action_table,
+    _inner_conjugator,
+    commutator,
+    example_length,
+)
 from brunnian.errors import PreconditionError
 
 import oracles
@@ -42,6 +47,19 @@ def action_of_raw_letters(n, letters):
     for a in letters:
         aut = oracles.compose(aut, action(n, (a,)))
     return aut
+
+
+def words_through_the_last_twist(seed):
+    """Forty seeded reduced words per strand count n = 4..9, each with a
+    letter +-(n-1), the half twist that substitutes the eliminated loop."""
+    rng = random.Random(seed)
+    words = []
+    for n in range(4, 10):
+        while len(words) < 40 * (n - 3):
+            word = oracles.random_braid(rng, n, 16)
+            if any(abs(a) == n - 1 for a in word.letters):
+                words.append(word)
+    return words
 
 
 class TestBraidWord:
@@ -146,6 +164,32 @@ class TestSphereAction:
                 assert (action(n, (u * v).letters)
                         == oracles.compose(action(n, u.letters),
                                            action(n, v.letters)))
+
+    def test_agrees_with_the_disk_action_on_the_sphere(self):
+        # The disk action on the rank-n free group fixes x_1...x_n, so it
+        # descends to the sphere through x_n = (x_1...x_{n-1})^-1.
+        words = words_through_the_last_twist(304)
+        assert {a for w in words for a in w.letters if abs(a) == w.n - 1} \
+            >= {3, -3, 8, -8}
+        for word in words:
+            n = word.n
+            sphere = oracles.identity(n - 1) + (
+                oracles.inverse(tuple(range(1, n))),)
+            disk = oracles.plain_artin_action(n, word.letters)
+            assert action(n, word.letters) == tuple(
+                oracles.substitute(sphere, image) for image in disk[:-1])
+
+    # budget.used after _action_table, summed over the words of each
+    # strand count; the letters charged are part of every certificate.
+    LETTERS_CHARGED = {4: 2695, 5: 5032, 6: 5526, 7: 2891, 8: 3878, 9: 3810}
+
+    def test_letters_charged(self):
+        used = dict.fromkeys(range(4, 10), 0)
+        for word in words_through_the_last_twist(304):
+            budget = LetterBudget()
+            _action_table(word.n, word.letters, budget)
+            used[word.n] += budget.used
+        assert used == self.LETTERS_CHARGED
 
     def test_braid_relations(self):
         for n in range(3, 9):
@@ -303,6 +347,10 @@ class TestBrunnianExample:
     def test_small_n_rejected(self):
         with pytest.raises(PreconditionError):
             brunnian_example(4)
+
+    def test_closed_form_length(self):
+        for n in range(5, 12):
+            assert len(brunnian_example(n)) == example_length(n)
 
 
 class TestCertifySphere:

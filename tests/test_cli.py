@@ -219,6 +219,52 @@ class TestExample:
         assert code == 2
 
 
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter, so a hang or a memory blow-up is
+    a test failure rather than a stuck run."""
+    return subprocess.run(
+        [sys.executable, "-m", "brunnian.cli", *argv], capture_output=True,
+        text=True, timeout=20, env={**os.environ, "PYTHONPATH": SRC})
+
+
+FORTY_DIGITS = "1234567890" * 4
+
+
+class TestResourceBounds:
+    @pytest.mark.parametrize("argv", [
+        ("check", "--surface", "sphere:1000000000", "--word", "s1"),
+        ("check", "--surface", "sphere:" + FORTY_DIGITS, "--word", "s1"),
+        ("brunnian", "--surface", "sphere:1001", "--word", "s1 s1^-1"),
+        ("example", "--n", FORTY_DIGITS),
+        ("example", "--n", FORTY_DIGITS, "--surface", "genus2"),
+    ], ids=["check-1e9", "check-40-digits", "brunnian-1001",
+            "example-40-digits", "example-genus2-40-digits"])
+    def test_strand_count_is_bounded(self, argv):
+        done = run_subprocess(*argv)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("precondition violated")
+
+    def test_largest_strand_count_runs(self, capsys):
+        code, out, _ = run(capsys, "check", "--surface", "sphere:1000",
+                           "--word", "s999 s999^-1")
+        assert (code, out) == (0, "trivial\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("example", "--n", "22"),
+        ("example", "--n", "9", "--max-letters", "2291"),
+    ], ids=["n22-default-cap", "n9-one-letter-short"])
+    def test_example_over_the_letter_cap_aborts(self, argv):
+        done = run_subprocess(*argv)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.startswith("resource cap:")
+
+    def test_example_at_the_letter_cap_runs(self):
+        done = run_subprocess("example", "--n", "9", "--max-letters", "2292",
+                              "--json")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["length"] == 2292
+
+
 class TestErrorsAndInput:
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "check", "--surface", "sphere:6",

@@ -14,7 +14,13 @@ from brunnian import (
     transvection,
 )
 from brunnian.errors import PreconditionError
-from brunnian.homology import CHAIN_CLASSES, J, intersection, is_prime
+from brunnian.homology import (
+    CHAIN_CLASSES,
+    TWIST_SIGN,
+    J,
+    intersection,
+    is_prime,
+)
 
 import oracles
 
@@ -118,6 +124,17 @@ class TestRho:
             u = random_twist(rng, 12)
             v = random_twist(rng, 12)
             assert rho(u * v) == rho(u).mul(rho(v))
+
+    def test_matches_the_product_of_transvection_matrices(self):
+        twists = {sign * i: transvection(c, sign * TWIST_SIGN)
+                  for i, c in enumerate(CHAIN_CLASSES, 1) for sign in (1, -1)}
+        rng = random.Random(205)
+        for _ in range(250):
+            word = random_twist(rng, 200)
+            product = SymplecticMatrix.identity()
+            for a in word.letters:
+                product = product.mul(twists[a])
+            assert rho(word) == product
 
     def test_braid_relations(self):
         for i in range(1, 5):
