@@ -17,7 +17,6 @@ from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
 from .genus2 import (
     MembershipReport,
     TwistWord,
-    brunnian_genus2,
     certify_pa_genus2,
     involution_word,
     is_trivial_genus2,
@@ -55,7 +54,6 @@ __all__ = [
     "WordSyntaxError",
     "brunnian_check",
     "brunnian_example",
-    "brunnian_genus2",
     "canonical_json",
     "casson_bleiler",
     "certify_pa_genus2",

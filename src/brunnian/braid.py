@@ -16,14 +16,13 @@ action(uv) = action(u) after action(v).
 
 A puncture-fixing mapping class of the sphere with n >= 4 punctures is
 trivial exactly when its permutation is trivial and its action on the
-fundamental group is an inner automorphism; innerness is decided
-exactly by freegroup inner detection; purity and innerness together
-are the exact engine.  For six punctures a nontrivial integral homology
-action of the letterwise lift to the genus-2 twist generators already
-forces nontriviality (the lift kernel contains only the identity and
-the hyperelliptic involution, whose homology actions are +-identity),
-which the triviality test uses as a cheap negative screen between the
-purity test and the free-group engine.
+fundamental group is inner.  After that purity test one rule,
+``_is_trivial_pure``, decides every pure word by exact stages, the
+first that decides giving the answer: collapse (the empty word and
+every pure word on three strands are trivial); homology (on six strands
+the letterwise genus-2 lift of a trivial word acts on integral homology
+as +-identity, the lift kernel being the identity and the hyperelliptic
+involution); engine (freegroup inner detection).
 
 Brunnian membership
 -------------------
@@ -171,12 +170,6 @@ def _action_table(n: int, letters: Iterable[int],
     return images
 
 
-def _acts_innerly(word: BraidWord, budget: LetterBudget) -> bool:
-    """The free-group engine on a pure word: is its action inner?"""
-    table = _action_table(word.n, word.letters, budget)
-    return _inner_conjugator(word.n - 1, table) is not None
-
-
 def is_trivial_sphere(word: BraidWord,
                       budget: LetterBudget | None = None) -> bool:
     """Exact triviality in the mapping class group of the n-punctured sphere.
@@ -192,15 +185,23 @@ def is_trivial_sphere(word: BraidWord,
         word, LetterBudget() if budget is None else budget)
 
 
-def _is_trivial_pure(word: BraidWord, budget: LetterBudget) -> bool:
-    """is_trivial_sphere on a word whose permutation is known to be trivial."""
+def _is_trivial_pure(word: BraidWord, budget: LetterBudget,
+                     lift: homology.SymplecticMatrix | None = None) -> bool:
+    """Triviality of a word whose permutation is known to be trivial.
+
+    Runs collapse, homology and engine (see the module docstring);
+    ``lift`` is the homology action of the six-strand word's lift, when
+    the caller already holds it.
+    """
+    if not word.letters or word.n == 3:
+        return True
     if word.n == 6:
-        # Cheap negative screen through the genus-2 double cover: the
-        # letterwise lift of a trivial word has homology action +-I.
-        lift = homology.rho(word.letters)
+        if lift is None:
+            lift = homology.rho(word.letters)
         if not (lift.is_identity or lift.is_neg_identity):
             return False
-    return _acts_innerly(word, budget)
+    table = _action_table(word.n, word.letters, budget)
+    return _inner_conjugator(word.n - 1, table) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +247,15 @@ def _strand_verdicts(word: BraidWord, perm: Permutation,
     """Triviality of each single-strand removal; ``perm`` is the word's.
 
     A word with a nontrivial permutation is immediately not Brunnian:
-    moved strands report False, fixed strands stay unevaluated.  With
-    four strands the removed words live on the three-punctured sphere,
-    whose puncture-fixing mapping class group is trivial, so purity
-    alone decides those strands.  Forgetting a strand of a pure word
-    leaves a pure word, so no removal recomputes a permutation.
+    moved strands report False, fixed strands stay unevaluated.
+    Forgetting a strand of a pure word leaves a pure word, so no removal
+    recomputes a permutation.
     """
     n = word.n
     if not perm.is_identity():
         return tuple(None if perm.fixes(i) else False for i in range(1, n + 1))
-    verdicts: list[Optional[bool]] = []
-    for i in range(1, n + 1):
-        removed = word.remove_strand(i)
-        verdicts.append(True if removed.n == 3
-                        else unless_aborted(_is_trivial_pure, removed, budget))
-    return tuple(verdicts)
+    return tuple(unless_aborted(_is_trivial_pure, word.remove_strand(i), budget)
+                 for i in range(1, n + 1))
 
 
 def brunnian_check(word: BraidWord,

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from .errors import PreconditionError
 from .homology import TWIST_SIGN
 
 CERT_SCHEMA = "brunnian-cert/1"
@@ -57,6 +58,25 @@ def conclude(surface: tuple, checks: Mapping[str, Any]) -> tuple[str, str]:
     if checks.get("casson_bleiler") == "pa_certified":
         return STATUS_PSEUDO_ANOSOV, JUSTIFY_CHARPOLY
     return STATUS_UNDETERMINED, JUSTIFY_NONE
+
+
+_MAX_DECIMAL_BITS = 14_000  # 2^14000 has 4215 digits, under the default 4300
+_PIECE = 10 ** 500
+
+
+def _decimal(value: int) -> str:
+    """Decimal text of a matrix entry or polynomial coefficient; values
+    above _MAX_DECIMAL_BITS bits are a PreconditionError.  Joined from
+    500-digit pieces, below the least int-to-str limit the interpreter
+    admits (640), so PYTHONINTMAXSTRDIGITS cannot change the text."""
+    if value.bit_length() > _MAX_DECIMAL_BITS:
+        raise PreconditionError(f"an integer of {value.bit_length()} bits is "
+                                f"too large to print (limit {_MAX_DECIMAL_BITS})")
+    rest, pieces = abs(value), []
+    while rest >= _PIECE:
+        rest, low = divmod(rest, _PIECE)
+        pieces.append(f"{low:0500d}")
+    return "-" * (value < 0) + str(rest) + "".join(reversed(pieces))
 
 
 def render_word(surface: tuple, letters: Sequence[int]) -> str:

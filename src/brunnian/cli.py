@@ -13,7 +13,7 @@ import sys
 
 from . import braid, genus2, homology
 from .budget import DEFAULT_LETTER_CAP, LetterBudget, unless_aborted
-from .certificate import canonical_json, render_letters, render_word
+from .certificate import _decimal, canonical_json, render_letters, render_word
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
 from .parsing import (integer, parse_surface, parse_word, sphere_surface,
                       surface_label)
@@ -162,28 +162,19 @@ def _cmd_homology(args) -> int:
         raise PreconditionError("homology takes a genus-2 word")
     budget = _budget(args)
     word = parse_word(_word_text(args), surface, budget)
-    rendered = render_letters("d", word.letters)
     if args.mod is None:
         matrix = homology.rho(word)
-        poly = homology.charpoly(matrix)
-        doc = {
-            "surface": "genus2",
-            "word": rendered,
-            "mod": None,
-            "matrix": [[str(x) for x in row] for row in matrix.rows],
-            "charpoly": [str(c) for c in poly.coefficients],
-            "identity": matrix.is_identity,
-        }
+        rows = [[_decimal(x) for x in row] for row in matrix.rows]
+        entries = {"matrix": rows, "charpoly": [
+            _decimal(c) for c in homology.charpoly(matrix).coefficients]}
     else:
+        # Entries are below the modulus, whose digits were already parsed.
         matrix = homology.rho_mod(word, args.mod)
-        doc = {
-            "surface": "genus2",
-            "word": rendered,
-            "mod": args.mod,
-            "matrix": [list(row) for row in matrix.rows],
-            "identity": matrix.is_identity,
-        }
-    human = "\n".join(" ".join(str(x) for x in row) for row in matrix.rows)
+        rows = [[str(x) for x in row] for row in matrix.rows]
+        entries = {"matrix": [list(row) for row in matrix.rows]}
+    doc = {"surface": "genus2", "word": render_letters("d", word.letters),
+           "mod": args.mod, **entries, "identity": matrix.is_identity}
+    human = "\n".join(" ".join(row) for row in rows)
     _emit(args, doc, human)
     return 0
 

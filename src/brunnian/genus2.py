@@ -25,14 +25,13 @@ from .braid import (
     BraidWord,
     BrunnianReport,
     Permutation,
-    _acts_innerly,
     _fold_verdicts,
+    _is_trivial_pure,
     _strand_verdicts,
-    brunnian_check,
     is_trivial_sphere,
 )
 from .budget import LetterBudget, unless_aborted
-from .certificate import Certificate
+from .certificate import Certificate, _decimal
 from .freegroup import Letters, Word, commutator  # noqa: F401 (public name)
 
 GENERATOR_COUNT = 5
@@ -83,12 +82,11 @@ def _is_trivial(action: homology.SymplecticMatrix, projection: BraidWord,
                 perm: Permutation, budget: LetterBudget) -> bool:
     """Genus-2 triviality from the word's homology action and projection.
 
-    Any action but the identity already makes the word nontrivial.  With
-    the identity the projection's six-puncture screen passes, so only
-    the exact engine runs on it: purity, then innerness.
+    Any action but the identity already makes the word nontrivial; else
+    the sphere rule decides the pure projection, reading ``action``.
     """
     return (action.is_identity and perm.is_identity()
-            and _acts_innerly(projection, budget))
+            and _is_trivial_pure(projection, budget, action))
 
 
 def is_trivial_genus2(word: TwistWord,
@@ -105,19 +103,13 @@ def is_trivial_genus2(word: TwistWord,
                        LetterBudget() if budget is None else budget)
 
 
-def brunnian_genus2(word: TwistWord,
-                    budget: LetterBudget | None = None) -> BrunnianReport:
-    """Brunnian membership of the projection (the genus-2 Brunnian subgroup
-    is the full preimage of the sphere one, so no lift-side check is needed)."""
-    return brunnian_check(project(word), budget)
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Verdicts for membership in the Brunnian-and-mod-3-kernel subgroup.
 
-    ``brunnian`` holds the projection's strand verdicts and the genus-2
-    word's own triviality.
+    ``brunnian`` holds the projection's strand verdicts (the genus-2
+    Brunnian subgroup is the full preimage of the sphere one) and the
+    genus-2 word's own triviality.
     """
 
     brunnian: BrunnianReport
@@ -173,6 +165,6 @@ def certify_pa_genus2(word: TwistWord,
     return Certificate.build(
         ("genus2",), word, membership.brunnian, budget, input_text,
         rho_mod3_identity=membership.rho_mod3_identity,
-        rho_integral=[[str(x) for x in row] for row in action.rows],
-        charpoly=[str(c) for c in poly.coefficients],
+        rho_integral=[[_decimal(x) for x in row] for row in action.rows],
+        charpoly=[_decimal(c) for c in poly.coefficients],
         casson_bleiler=homology.casson_bleiler(poly))

@@ -372,7 +372,7 @@ class TestCertifySphere:
         assert cert.status == "undetermined"
 
     def test_budget_abort_stays_undetermined(self):
-        # Without the six-strand homology screen the engine cannot decide
+        # Without the six-strand homology stage the engine cannot decide
         # nontriviality of the five-strand example inside a small budget;
         # the certificate must admit that instead of guessing.
         cert = certify_pa_sphere(brunnian_example(5), LetterBudget(100_000))

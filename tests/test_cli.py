@@ -1,13 +1,16 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from brunnian.certificate import _decimal
 from brunnian.cli import main
+from brunnian.errors import PreconditionError
 
 NESTED = "[d1^6,[d2^6,[d3^6,[d4^6,d5^6]]]]"
 NESTED_SPHERE = "[s1^6,[s2^6,[s3^6,[s4^6,s5^6]]]]"
@@ -219,12 +222,12 @@ class TestExample:
         assert code == 2
 
 
-def run_subprocess(*argv):
+def run_subprocess(*argv, env=()):
     """The CLI in a fresh interpreter, so a hang or a memory blow-up is
-    a test failure rather than a stuck run."""
+    a test failure rather than a stuck run; ``env`` adds variables."""
     return subprocess.run(
         [sys.executable, "-m", "brunnian.cli", *argv], capture_output=True,
-        text=True, timeout=20, env={**os.environ, "PYTHONPATH": SRC})
+        text=True, timeout=20, env={**os.environ, "PYTHONPATH": SRC, **dict(env)})
 
 
 FORTY_DIGITS = "1234567890" * 4
@@ -263,6 +266,51 @@ class TestResourceBounds:
                               "--json")
         assert done.returncode == 0
         assert json.loads(done.stdout)["length"] == 2292
+
+    # (d1 d2^-1)^k has homology entries of about 1.39 k bits: 14,579 bits
+    # at k = 10500 (4389 digits) and 13,885 at k = 10000.
+    @pytest.mark.parametrize("argv", [
+        ("homology",),
+        ("homology", "--json"),
+        ("certify", "--surface", "genus2"),
+        ("certify", "--surface", "genus2", "--json"),
+    ], ids=["homology", "homology-json", "certify", "certify-json"])
+    def test_oversized_homology_entries_are_refused(self, argv):
+        done = run_subprocess(*argv, "--word", "(d1 d2^-1)^10500")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("precondition violated")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("homology", "--json"),
+        ("certify", "--surface", "genus2", "--json"),
+    ], ids=["homology", "certify"])
+    def test_largest_homology_entries_print_under_any_digit_limit(self, argv):
+        word = ("--word", "(d1 d2^-1)^10000")
+        default = run_subprocess(*argv, *word)
+        lowest = run_subprocess(*argv, *word,
+                                env={"PYTHONINTMAXSTRDIGITS": "640"})
+        assert (default.returncode, lowest.returncode) == (0, 0)
+        assert lowest.stdout == default.stdout
+        doc = json.loads(default.stdout)
+        matrix = doc["matrix"] if "matrix" in doc else doc["checks"]["rho_integral"]
+        assert max(len(x) for row in matrix for x in row) > 4000
+
+
+class TestDecimal:
+    def test_agrees_with_str(self):
+        rng = random.Random(811)
+        values = [0, 1, -1, 10 ** 500, -(10 ** 500), 10 ** 1000 - 1,
+                  2 ** 14000 - 1, -(2 ** 14000 - 1)]
+        values += [rng.getrandbits(rng.randint(1, 14000)) * rng.choice((1, -1))
+                   for _ in range(200)]
+        for value in values:
+            assert _decimal(value) == str(value)
+
+    @pytest.mark.parametrize("value", [2 ** 14000, -(2 ** 14000)])
+    def test_refuses_above_the_bound(self, value):
+        with pytest.raises(PreconditionError):
+            _decimal(value)
 
 
 class TestErrorsAndInput:

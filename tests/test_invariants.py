@@ -5,8 +5,10 @@
 * A genus-2 ``check``, ``brunnian`` or ``certify`` evaluates the
   integral homology action exactly once, and runs the free-group engine
   on the projection only when that action is the identity.
-* The six-puncture screen is internal: no public function takes a
-  precomputed homology action.
+* The six-puncture homology stage is internal: no public function
+  takes a precomputed homology action.
+* A word or strand removal that collapses to the empty word is decided
+  without the free-group engine or the homology stage.
 * The library example in README.md runs.
 * The test oracles share no code with the package: ``tests/oracles.py``
   imports nothing from it but ``BraidWord``, which only generates words.
@@ -16,6 +18,7 @@ import ast
 import contextlib
 import inspect
 import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -79,12 +82,41 @@ def action_table_sizes(monkeypatch):
 
 def test_no_engine_run_on_a_projection_acting_as_minus_identity(
         action_table_sizes):
-    # The involution projects to a trivial class, so each of the six
-    # five-strand removals needs the engine; its own action is -I, which
-    # already decides that the genus-2 word is nontrivial.
+    # The involution projects to a trivial class.  Its strand-1 removal
+    # is the empty word, so only the other five five-strand removals need
+    # the engine; its own action is -I, which already decides that the
+    # genus-2 word is nontrivial.
     report = membership_theorem12(involution_word())
     assert report.brunnian.trivial is False
-    assert action_table_sizes == [5] * 6
+    assert action_table_sizes == [5] * 5
+
+
+def _run_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--json"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("command", ["brunnian", "certify"])
+def test_no_engine_run_on_words_that_collapse(action_table_sizes, command):
+    # The word reduces to the empty word, and so does each of its 1000
+    # removals: no 999-strand generator table is built.
+    code, _ = _run_json([command, "--surface", "sphere:1000",
+                         "--word", "s1 s1^-1", "--max-letters", "1000"])
+    assert code == 0
+    assert action_table_sizes == []
+
+
+def test_no_homology_run_on_empty_six_strand_removals(rho_calls):
+    # Every removal of the seven-strand flagship is the empty six-strand
+    # word; the word itself is left to the engine, which aborts here.
+    code, doc = _run_json(["brunnian", "--surface", "sphere:7", "--word",
+                           "[s1^6,[s2^6,[s3^6,[s4^6,[s5^6,s6^6]]]]]",
+                           "--max-letters", "100000"])
+    assert code == 3
+    assert doc["per_strand"] == [True] * 7
+    assert rho_calls == []
 
 
 @pytest.mark.parametrize("function", [brunnian.is_trivial_sphere,
