@@ -12,7 +12,10 @@ last puncture is eliminated through x_n = (x_1...x_{n-1})^-1.  Each
 generator acts by the Artin rule (x_i -> x_i x_{i+1} x_i^-1,
 x_{i+1} -> x_i), with the eliminated generator substituted when the
 last half twist is applied.  The action composes along the word as
-action(uv) = action(u) after action(v).
+action(uv) = action(u) after action(v).  The engine keeps the images
+as packed words (see freegroup), so each letter costs a few slices,
+one ``str.translate`` and two seam comparisons rather than a Python
+loop over the letters of its images.
 
 A puncture-fixing mapping class of the sphere with n >= 4 punctures is
 trivial exactly when its permutation is trivial and its action on the
@@ -45,8 +48,10 @@ from .errors import PreconditionError
 from .freegroup import (
     Letters,
     Word,
-    _apply,
+    _conjugate,
     _inner_conjugator,
+    _inverse_table,
+    _pack,
     commutator,
 )
 
@@ -145,28 +150,41 @@ class BraidWord(Word):
 # ---------------------------------------------------------------------------
 
 def _action_table(n: int, letters: Iterable[int],
-                  budget: LetterBudget) -> list[Letters]:
-    """Generator images of the composed action, letters applied left to right.
+                  budget: LetterBudget) -> list[str]:
+    """Packed generator images of the composed action, letters applied
+    left to right.
 
-    Each letter is its Artin step on the table in place: s_i^{+-1}
-    substitutes into one of x_i, x_{i+1} and copies the other's old
-    image, and s_{n-1}^{+-1} substitutes the eliminated loop into
-    x_{n-1}.  Only substitutions run through _apply, which charges them.
+    The table also holds the image of the eliminated loop x_n, so every
+    letter is one Artin step in place: s_i substitutes x_i x_{i+1} x_i^-1
+    for x_i and copies the old image of x_i into x_{i+1}, s_i^-1 the
+    mirror, and s_{n-1} is the same step on x_{n-1} and x_n.  The
+    substitution is one conjugation, reduced at its two seams.  Each
+    step charges the lengths of the images its defining word over
+    x_1..x_{n-1} substitutes, in that word's order, with one
+    ``charge_each`` call; for s_{n-1} that word names all n - 1
+    generators.  The uncharged upkeep of x_n costs no more than the
+    letters charged, since x_n is a product of the other images.
     """
     r = n - 1
-    tail = tuple(-j for j in range(r - 1, 0, -1))
-    last_pos, last_neg = tail + (-r,), (-r,) + tail  # x_{n-1} x_n x_{n-1}^-1, x_n
-    images: list[Letters] = [(i,) for i in range(1, r + 1)]
+    flip = _inverse_table(r)
+    images = [_pack(r, (i,)) for i in range(1, r + 1)]
+    images.append(_pack(r, range(-r, 0)))  # x_n = x_{n-1}^-1 ... x_1^-1
+    charge = budget.charge_each
     for a in letters:
         i = abs(a)
-        if i == r:
-            images[r - 1] = _apply(images, last_pos if a > 0 else last_neg, budget)
-        elif a > 0:
-            images[i - 1], images[i] = (
-                _apply(images, (i, i + 1, -i), budget), images[i - 1])
+        x, y = images[i - 1], images[i]
+        if i == r:  # the defining word runs through x_1..x_{n-1}
+            charge([len(w) for w in reversed(images[:r - 1])] + [len(x)]
+                   if a > 0 else [len(w) for w in reversed(images[:r])])
+        elif a > 0:  # x_i x_{i+1} x_i^-1
+            charge((len(x), len(y), len(x)))
+        else:  # x_{i+1}^-1 x_i x_{i+1}
+            charge((len(y), len(x), len(y)))
+        if a > 0:
+            images[i - 1], images[i] = _conjugate(x, x[::-1].translate(flip), y), x
         else:
-            images[i - 1], images[i] = (
-                images[i], _apply(images, (-(i + 1), i, i + 1), budget))
+            images[i - 1], images[i] = y, _conjugate(y[::-1].translate(flip), y, x)
+    del images[r]
     return images
 
 

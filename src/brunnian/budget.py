@@ -15,6 +15,8 @@ MAX_STRANDS.  Substitution output counts, as do the parser's expansion
 of powers and commutators and the word the ``example`` command builds.
 """
 
+from typing import Sequence
+
 from .errors import LetterBudgetExceeded
 
 DEFAULT_LETTER_CAP = 10_000_000
@@ -43,6 +45,20 @@ class LetterBudget:
             raise LetterBudgetExceeded(
                 f"letter budget exceeded: {self.used} > cap {self.cap}"
             )
+
+    def charge_each(self, amounts: Sequence[int]) -> None:
+        """Charge the amounts in order, as one call.
+
+        Within the cap this is one addition; a total that would cross
+        it is charged amount by amount, so the abort comes at the same
+        point, with the same ``used``, as separate charges would give.
+        """
+        used = self.used + sum(amounts)
+        if used <= self.cap:
+            self.used = used
+        else:
+            for amount in amounts:
+                self.charge(amount)
 
     def __repr__(self) -> str:
         return f"LetterBudget(used={self.used}, cap={self.cap})"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .errors import PreconditionError
-from .homology import TWIST_SIGN
+from .homology import _MAX_DECIMAL_BITS, TWIST_SIGN
 
 CERT_SCHEMA = "brunnian-cert/1"
 
@@ -60,7 +60,6 @@ def conclude(surface: tuple, checks: Mapping[str, Any]) -> tuple[str, str]:
     return STATUS_UNDETERMINED, JUSTIFY_NONE
 
 
-_MAX_DECIMAL_BITS = 14_000  # 2^14000 has 4215 digits, under the default 4300
 _PIECE = 10 ** 500
 
 

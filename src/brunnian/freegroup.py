@@ -6,9 +6,13 @@ reduced, i.e. contains no adjacent pair ``a, -a``.  Free reduction of a
 raw letter sequence is done with a single stack pass, so all word
 operations here are linear in their input size.
 
-An automorphism exists only as its raw generator-image table, a sequence
-of reduced words with ``images[i-1]`` the image of ``x_i``; ``_apply``
-substitutes a table into a word.
+The engine behind the mapping-class word problem keeps its words
+packed: a word of rank r is a ``str`` with letter a stored as
+``chr(r + a)``.  Inverses are a reversal and a ``str.translate``, and a
+product is reduced at its seam by galloping slice comparisons, so
+copying, inverting and cancelling never loop per letter in Python.  An
+automorphism exists only as its table of packed generator images,
+``images[i-1]`` being the image of ``x_i``.
 
 The inner-automorphism detector is the triviality test behind the
 mapping-class word problem: for rank at least two a free group has
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
-from .budget import LetterBudget
 from .errors import PreconditionError
 
 Letters = tuple[int, ...]
@@ -30,8 +33,8 @@ Letters = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # raw-tuple primitives
 #
-# These operate on plain tuples so the braid engine can run its hot loops
-# without re-validating intermediate words; Word wraps the ones it needs.
+# These operate on plain tuples without re-validating intermediate words;
+# Word and the parser use them.
 # ---------------------------------------------------------------------------
 
 def _reduce(letters: Iterable[int]) -> Letters:
@@ -60,69 +63,130 @@ def _concat(u: Sequence[int], v: Sequence[int]) -> Letters:
     return tuple(out)
 
 
-def _cyclic_split(letters: Sequence[int]) -> tuple[Letters, Letters]:
-    """Split a reduced word as p * core * p^-1 with core cyclically reduced."""
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == -letters[j]:
-        i += 1
-        j -= 1
-    return tuple(letters[:i]), tuple(letters[i:j + 1])
+# ---------------------------------------------------------------------------
+# packed words: the engine's representation
+#
+# The letters of rank r are the code points 0..2r without r.  CPython
+# stores a packed word at one byte per letter while r <= 127, and the
+# inverse ``w[::-1].translate(_inverse_table(r))`` stays on the ASCII
+# fast path of ``str.translate`` while r <= 63.
+# ---------------------------------------------------------------------------
+
+_SCAN = 8  # letters compared one at a time before a seam gallops
 
 
-def _apply(images: Sequence[Letters], letters: Sequence[int],
-           budget: LetterBudget | None = None) -> Letters:
-    """Substitute ``images[i-1]`` for letter ``i`` (its inverse for ``-i``)
-    and freely reduce.
+def _pack(rank: int, letters: Iterable[int]) -> str:
+    """The packed word of rank ``rank`` with the given letters."""
+    return "".join(chr(rank + a) for a in letters)
 
-    Charges the budget with the length of every substituted image, i.e.
-    the pre-cancellation output size; this is the quantity that blows up
-    on adversarial inputs.
+
+def _inverse_table(rank: int) -> dict[int, int]:
+    """The ``str.translate`` table taking each packed letter to its inverse."""
+    return {c: 2 * rank - c for c in range(2 * rank + 1)}
+
+
+def _common_prefix(s: str, t: str) -> int:
+    """Length of the longest common prefix of s and t, whose first letters
+    are known to agree: a short scan, then galloping slice comparisons."""
+    n = min(len(s), len(t))
+    scan, k = min(n, _SCAN), 1
+    while k < scan:
+        if s[k] != t[k]:
+            return k
+        k += 1
+    step = k
+    while k < n:
+        hi = min(k + step, n)
+        if s[k:hi] != t[k:hi]:
+            while hi - k > 1:  # the prefix of length k agrees, of length hi not
+                mid = (k + hi) // 2
+                if s[k:mid] == t[k:mid]:
+                    k = mid
+                else:
+                    hi = mid
+            return k
+        k, step = hi, 2 * step
+    return k
+
+
+def _common_suffix(s: str, t: str) -> int:
+    """Length of the longest common suffix of s and t, whose last letters
+    are known to agree; _common_prefix read from the right."""
+    ls, lt = len(s), len(t)
+    n = min(ls, lt)
+    scan, k = min(n, _SCAN), 1
+    while k < scan:
+        if s[~k] != t[~k]:
+            return k
+        k += 1
+    step = k
+    while k < n:
+        hi = min(k + step, n)
+        if s[ls - hi:ls - k] != t[lt - hi:lt - k]:
+            while hi - k > 1:
+                mid = (k + hi) // 2
+                if s[ls - mid:ls - k] == t[lt - mid:lt - k]:
+                    k = mid
+                else:
+                    hi = mid
+            return k
+        k, step = hi, 2 * step
+    return k
+
+
+def _product(u: str, v: str, v_inv: str) -> str:
+    """The reduced word of u v, for reduced packed u, v and v_inv = v^-1.
+
+    The letters cancelled at the seam are the longest common suffix of
+    u and v^-1; the seam helper runs only when the last letters cancel.
     """
-    out: list[int] = []
-    for a in letters:
-        img = images[a - 1] if a > 0 else _invert(images[-a - 1])
-        if budget is not None:
-            budget.charge(len(img))
-        i = 0
-        n = len(img)
-        while out and i < n and out[-1] == -img[i]:
-            out.pop()
-            i += 1
-        out.extend(img[i:])
-    return tuple(out)
+    k = _common_suffix(u, v_inv) if u and v_inv and u[-1] == v_inv[-1] else 0
+    return u[:len(u) - k] + v[k:]
 
 
-def _inner_conjugator(rank: int, images: Sequence[Letters]) -> Optional[Letters]:
-    """Conjugator w with images[i-1] == w x_i w^-1 for all i, or None.
+def _conjugate(a: str, a_inv: str, x: str) -> str:
+    """The reduced word of a x a^-1, for reduced packed a, x and a_inv = a^-1.
+
+    Two seams: the first cancels the common prefix of a^-1 and x (the
+    common suffix of a and x^-1, read without inverting x), the second
+    is the product with a^-1.
+    """
+    k = _common_prefix(a_inv, x) if a_inv and x and a_inv[0] == x[0] else 0
+    return _product(a[:len(a) - k] + x[k:], a_inv, a)
+
+
+def _inner_conjugator(rank: int, images: Sequence[str]) -> Optional[str]:
+    """Packed conjugator w with images[i-1] == w x_i w^-1 for all i, or None.
 
     Strategy: cyclically reduce the image of x_1; its core must be x_1
     itself, which pins the conjugator to p * x_1^k.  The exponent k is
-    read off the image of x_2 by prefix matching, then the candidate is
-    verified against every generator.  No unbounded search happens.
+    read off the image of x_2, then the candidate is verified against
+    every generator.  No unbounded search happens.
     """
     if rank < 2:
         raise PreconditionError("inner detection requires rank >= 2")
-    p, core = _cyclic_split(images[0])
-    if core != (1,):
+    flip = _inverse_table(rank)
+    x1, x1_inv, x2 = chr(rank + 1), chr(rank - 1), chr(rank + 2)
+    s = images[0]
+    s_inv = s[::-1].translate(flip)
+    # s = p core p^-1 with core cyclically reduced: p is the longest
+    # common prefix of s and s^-1.
+    k = _common_prefix(s, s_inv) if s and s[0] == s_inv[0] else 0
+    if len(s) != 2 * k + 1 or s[k] != x1:
         return None
-    u = _concat(_concat(_invert(p), images[1]), p)
-    # u must have the shape x_1^k x_2 x_1^-k, which is already reduced.
-    if u == (2,):
-        k = 0
-    else:
-        if not u or abs(u[0]) != 1:
-            return None
-        step = 1 if u[0] > 0 else -1
-        run = 0
-        while run < len(u) and u[run] == step:
-            run += 1
-        if u != tuple([step] * run + [2] + [-step] * run):
-            return None
-        k = step * run
-    w = _concat(p, (1,) * k if k >= 0 else (-1,) * (-k))
-    w_inv = _invert(w)
+    p, p_inv = s[:k], s[k + 1:]
+    u = _conjugate(p_inv, p, images[1])
+    # u must have the shape x_1^j x_2 x_1^-j, which is already reduced.
+    j = len(u) // 2
+    step = u[0] if j else x1
+    step_inv = x1_inv if step == x1 else x1
+    if step not in (x1, x1_inv) or u != step * j + x2 + step_inv * j:
+        return None
+    # s is reduced, so p ends in neither x_1 nor x_1^-1 and nothing cancels.
+    w = p + step * j
+    w_inv = w[::-1].translate(flip)
     for g in range(1, rank + 1):
-        if images[g - 1] != _concat(_concat(w, (g,)), w_inv):
+        if images[g - 1] != _conjugate(w, w_inv, chr(rank + g)):
             return None
     return w
 

@@ -46,6 +46,12 @@ CHAIN_CLASSES: tuple[Row, ...] = (
 
 TWIST_SIGN = 1
 
+# Entries may have at most this many bits: 2^14000 has 4215 digits, under
+# the interpreter's default int-to-str limit of 4300.  rho refuses a word
+# whose entries outgrow it, and certificate prints no larger value.
+_MAX_DECIMAL_BITS = 14_000
+_CHECK_EVERY = 64  # letters rho applies between two entry-size checks
+
 
 def intersection(x: Sequence[int], y: Sequence[int]) -> int:
     """Symplectic pairing <x, y> = x^T J y."""
@@ -161,19 +167,29 @@ def rho(word) -> SymplecticMatrix:
     Accepts a TwistWord (or any object with signed-integer ``letters``
     in +-1..5) and is a homomorphism: rho(uv) == rho(u) @ rho(v).  Each
     letter applies its transvection in place as M <- M + s (M c)(Jc)^T.
+    Every _CHECK_EVERY letters, and at the end, an entry above
+    _MAX_DECIMAL_BITS bits refuses the word with PreconditionError, so
+    the uncharged work stays linear in the length of the word.
     """
     m = [list(row) for row in _IDENTITY_ROWS]
-    for a in _letters_of(word):
-        c, jc = CHAIN_CLASSES[abs(a) - 1], _CHAIN_DUALS[abs(a) - 1]
-        s = TWIST_SIGN if a > 0 else -TWIST_SIGN
-        for row in m:
-            t = s * (row[0] * c[0] + row[1] * c[1]
-                     + row[2] * c[2] + row[3] * c[3])
-            if t:
-                row[0] += t * jc[0]
-                row[1] += t * jc[1]
-                row[2] += t * jc[2]
-                row[3] += t * jc[3]
+    letters = _letters_of(word)
+    for start in range(0, len(letters), _CHECK_EVERY):
+        for a in letters[start:start + _CHECK_EVERY]:
+            c, jc = CHAIN_CLASSES[abs(a) - 1], _CHAIN_DUALS[abs(a) - 1]
+            s = TWIST_SIGN if a > 0 else -TWIST_SIGN
+            for row in m:
+                t = s * (row[0] * c[0] + row[1] * c[1]
+                         + row[2] * c[2] + row[3] * c[3])
+                if t:
+                    row[0] += t * jc[0]
+                    row[1] += t * jc[1]
+                    row[2] += t * jc[2]
+                    row[3] += t * jc[3]
+        bits = max(abs(x) for row in m for x in row).bit_length()
+        if bits > _MAX_DECIMAL_BITS:
+            raise PreconditionError(
+                f"a homology entry of {bits} bits exceeds the limit of "
+                f"{_MAX_DECIMAL_BITS} bits")
     result = SymplecticMatrix(m)
     if not result.is_symplectic():
         raise AssertionError("the homology action must be symplectic")

@@ -10,8 +10,9 @@ to generate words.  Disagreement between these and the package is a
 test failure, not a tie to be broken.
 
 An automorphism of the free group of rank r is a tuple of r reduced
-words, entry i - 1 being the image of x_i; the engine's tables have the
-same shape, so the two compare directly.
+words, entry i - 1 being the image of x_i.  The engine's tables have
+the same shape with packed words (letter a of rank r is the character
+``chr(r + a)``); ``pack`` and ``unpack`` convert between the two.
 """
 
 from itertools import permutations
@@ -35,6 +36,16 @@ def naive_free_reduce(letters):
 
 def inverse(letters):
     return tuple(-a for a in reversed(letters))
+
+
+def pack(rank, letters):
+    """The packed form of a word of the given rank."""
+    return "".join(chr(rank + a) for a in letters)
+
+
+def unpack(rank, word):
+    """The letters of a packed word of the given rank, as a tuple."""
+    return tuple(ord(c) - rank for c in word)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +73,40 @@ def conjugation(rank, w):
     """The inner automorphism x -> w x w^-1."""
     return tuple(naive_free_reduce(tuple(w) + (i,) + inverse(w))
                  for i in range(1, rank + 1))
+
+
+# ---------------------------------------------------------------------------
+# the sphere action with its letter charges
+# ---------------------------------------------------------------------------
+
+def sphere_letter(n, letter):
+    """One sphere letter's action on x_1..x_{n-1}: the substituted
+    generator with its defining word, and the (target, source) copy of
+    an old image, or None.  x_n = (x_1...x_{n-1})^-1 is written out."""
+    r, i = n - 1, abs(letter)
+    if i == r:
+        x_n = tuple(-j for j in range(r, 0, -1))
+        return (r, x_n[1:] + (-r,) if letter > 0 else x_n), None
+    if letter > 0:
+        return (i, (i, i + 1, -i)), (i + 1, i)
+    return (i + 1, (-(i + 1), i, i + 1)), (i, i + 1)
+
+
+def charged_sphere_action(n, letters, budget):
+    """The sphere action table of a letter sequence by plain substitution,
+    composed as action(uv) = action(u) after action(v).  Every image
+    substituted is charged to ``budget`` on its own, in the order of the
+    defining word; copied images are not charged."""
+    table = list(identity(n - 1))
+    for a in letters:
+        (target, word), copy = sphere_letter(n, a)
+        for b in word:
+            budget.charge(len(table[abs(b) - 1]))
+        image = substitute(table, word)
+        if copy is not None:
+            table[copy[0] - 1] = table[copy[1] - 1]
+        table[target - 1] = image
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

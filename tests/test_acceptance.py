@@ -132,7 +132,8 @@ def test_criterion_4_sphere_flagship(capsys):
 
 def test_criterion_5_representation_sanity(capsys):
     def action(n, letters):
-        return _action_table(n, letters, LetterBudget())
+        return [oracles.unpack(n - 1, image)
+                for image in _action_table(n, letters, LetterBudget())]
 
     checked = 0
     # Braid relations and far commutation in the fundamental-group action.

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -36,8 +38,9 @@ def full_twist(n):
 
 
 def action(n, letters):
-    """The engine's action table of a letter sequence, as a tuple."""
-    return tuple(_action_table(n, letters, LetterBudget()))
+    """The engine's action table of a letter sequence, unpacked to tuples."""
+    return tuple(oracles.unpack(n - 1, image)
+                 for image in _action_table(n, letters, LetterBudget()))
 
 
 def action_of_raw_letters(n, letters):
@@ -207,6 +210,103 @@ class TestSphereAction:
             _action_table(5, brunnian_example(5).letters, LetterBudget(50_000))
 
 
+class ChargeLog:
+    """A budget without a cap that records every charge."""
+
+    def __init__(self):
+        self.amounts = []
+
+    def charge(self, amount):
+        self.amounts.append(amount)
+
+
+def charge_outcome(charge, cap, amounts):
+    """(raised, used, exhausted) after charging the amounts under a cap."""
+    budget = LetterBudget(cap)
+    try:
+        charge(budget, amounts)
+    except LetterBudgetExceeded:
+        return True, budget.used, budget.exhausted
+    return False, budget.used, budget.exhausted
+
+
+class TestChargeDifferential:
+    """_action_table against the oracle's substitution, which charges one
+    image at a time: the same images, the same abort and the same
+    ``used`` at every cap from 1 to the full charge."""
+
+    @staticmethod
+    @functools.cache
+    def cases():
+        """Four seeded words per strand count, each with a last twist and
+        a full charge of at most 3000 letters."""
+        rng = random.Random(306)
+        cases = []
+        # n = 65 puts packed letters outside ASCII (the general translate
+        # path); n = 300 puts them above one byte.  Odd k keeps the
+        # letters on the last three generators, so images grow there.
+        for n in list(range(3, 13)) + [65, 300]:
+            k = 0
+            while k < 4:
+                letters = oracles.random_letters(rng, n - 1, 6 + 3 * k)
+                if k % 2 and n > 4:
+                    letters = [a + (n - 4 if a > 0 else 4 - n)
+                               for a in oracles.random_letters(rng, 3, 6 + 3 * k)]
+                letters.append(rng.choice((1, -1)) * (n - 1))
+                rng.shuffle(letters)
+                try:
+                    oracles.charged_sphere_action(n, letters, LetterBudget(3000))
+                except LetterBudgetExceeded:
+                    continue
+                log = ChargeLog()
+                table = oracles.charged_sphere_action(n, letters, log)
+                cases.append((n, tuple(letters), table, tuple(log.amounts)))
+                k += 1
+        return cases
+
+    def test_every_cap(self):
+        for n, letters, expected, amounts in self.cases():
+            full = sum(amounts)
+            crossings = list(itertools.accumulate(amounts))
+            for cap in range(1, full + 1):
+                budget = LetterBudget(cap)
+                if cap < full:
+                    with pytest.raises(LetterBudgetExceeded):
+                        _action_table(n, letters, budget)
+                    assert budget.used == next(c for c in crossings if c > cap)
+                    assert budget.exhausted
+                else:
+                    images = _action_table(n, letters, budget)
+                    assert tuple(oracles.unpack(n - 1, w) for w in images) \
+                        == expected
+                    assert budget.used == full
+
+    def test_the_oracle_aborts_at_the_same_point(self):
+        rng = random.Random(307)
+        for n, letters, _, amounts in self.cases():
+            for cap in rng.sample(range(1, sum(amounts)), 3):
+                used = []
+                for run in (_action_table, oracles.charged_sphere_action):
+                    budget = LetterBudget(cap)
+                    with pytest.raises(LetterBudgetExceeded):
+                        run(n, letters, budget)
+                    used.append(budget.used)
+                assert used[0] == used[1]
+
+    def test_charge_each_matches_separate_charges(self):
+        def separately(budget, amounts):
+            for amount in amounts:
+                budget.charge(amount)
+
+        def at_once(budget, amounts):
+            budget.charge_each(amounts)
+
+        for amounts in ((), (7,), (3, 5, 3), (1, 1, 1, 1), (2, 9, 4, 1, 6)):
+            for cap in range(1, sum(amounts) + 3):
+                assert charge_outcome(at_once, cap, amounts) \
+                    == charge_outcome(separately, cap, amounts)
+
+
 class TestIsTrivialSphere:
     def test_empty_word(self):
         assert is_trivial_sphere(BraidWord.identity(6))
@@ -227,9 +327,9 @@ class TestIsTrivialSphere:
 
     def test_relation_word_conjugator(self):
         # The composed action of the relation word is conjugation by x1.
-        images = action(6, relation_word(6).letters)
-        assert _inner_conjugator(5, images) == (1,)
-        assert images == oracles.conjugation(5, (1,))
+        images = _action_table(6, relation_word(6).letters, LetterBudget())
+        assert oracles.unpack(5, _inner_conjugator(5, images)) == (1,)
+        assert action(6, relation_word(6).letters) == oracles.conjugation(5, (1,))
 
     def test_full_twist_acts_trivially(self):
         assert action(6, full_twist(6).letters) == oracles.identity(5)

@@ -281,6 +281,23 @@ class TestResourceBounds:
         assert done.stderr.startswith("precondition violated")
         assert "Traceback" not in done.stderr
 
+    # rho refuses the word once an entry passes 14,000 bits, so its
+    # quadratic cost on a long pseudo-Anosov power stops there.
+    @pytest.mark.parametrize("argv", [
+        ("check", "--surface", "genus2"),
+        ("homology",),
+    ], ids=["check", "homology"])
+    def test_long_pseudo_anosov_powers_are_refused(self, argv):
+        done = run_subprocess(*argv, "--word", "(d1 d2^-1)^200000")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("precondition violated")
+        assert "Traceback" not in done.stderr
+
+    def test_check_answers_below_the_entry_bound(self):
+        done = run_subprocess("check", "--surface", "genus2",
+                              "--word", "(d1 d2^-1)^10000")
+        assert (done.returncode, done.stdout) == (0, "nontrivial\n")
+
     @pytest.mark.parametrize("argv", [
         ("homology", "--json"),
         ("certify", "--surface", "genus2", "--json"),

@@ -107,9 +107,39 @@ class TestTransvection:
             transvection((0, 0, 0, 0))
 
 
+def max_entry_bits(matrix):
+    return max(abs(x) for row in matrix.rows for x in row).bit_length()
+
+
 class TestRho:
     def test_empty_word(self):
         assert rho(TwistWord.identity()).is_identity
+
+    # (d1 d2^-1)^k has entries of about 1.39 k bits: 13,885 at k = 10000,
+    # 14,579 at k = 10500.
+    def test_entries_up_to_the_bound_are_computed(self):
+        assert max_entry_bits(rho(TwistWord((1, -2) * 10000))) == 13_885
+
+    def test_an_entry_above_the_bound_refuses_the_word(self):
+        # (d4 d5^-1)^k grows only the rows of a2 and b2.
+        for pair in ((1, -2), (4, -5)):
+            with pytest.raises(PreconditionError):
+                rho(TwistWord(pair * 10500))
+        # 13,996 bits after 20,160 letters, the last 64-letter check;
+        # 14,017 at the end of the 20,190 letters.
+        with pytest.raises(PreconditionError):
+            rho(TwistWord((1, -2) * 10095))
+
+    def test_an_intermediate_entry_above_the_bound_refuses_the_word(self):
+        # d4 commutes with d1 and d2, so the word is d4 itself, but its
+        # first half has entries of about 14,579 bits.
+        power = (1, -2) * 10500
+        word = TwistWord(power + (4,) + oracles.inverse(power))
+        with pytest.raises(PreconditionError):
+            rho(word)
+        short = (1, -2) * 50
+        assert rho(TwistWord(short + (4,) + oracles.inverse(short))) \
+            == rho(TwistWord((4,)))
 
     def test_involution_acts_as_minus_identity(self):
         assert rho(INVOLUTION).is_neg_identity
