@@ -203,6 +203,21 @@ def is_trivial_sphere(word: BraidWord,
         word, LetterBudget() if budget is None else budget)
 
 
+_SCREEN_PRIME = 2 ** 61 - 1  # a Mersenne prime; rho_mod checks it
+
+
+def _lift_action(letters: Letters):
+    """Homology action of a six-strand word's lift: exact while its
+    entries stay within homology.rho's bound, else modulo _SCREEN_PRIME.
+
+    The letters are in 1..5, so the bound is the only refusal left.
+    """
+    try:
+        return homology.rho(letters)
+    except PreconditionError:
+        return homology.rho_mod(letters, _SCREEN_PRIME)
+
+
 def _is_trivial_pure(word: BraidWord, budget: LetterBudget,
                      lift: homology.SymplecticMatrix | None = None) -> bool:
     """Triviality of a word whose permutation is known to be trivial.
@@ -215,7 +230,7 @@ def _is_trivial_pure(word: BraidWord, budget: LetterBudget,
         return True
     if word.n == 6:
         if lift is None:
-            lift = homology.rho(word.letters)
+            lift = _lift_action(word.letters)
         if not (lift.is_identity or lift.is_neg_identity):
             return False
     table = _action_table(word.n, word.letters, budget)

@@ -155,6 +155,12 @@ def _conjugate(a: str, a_inv: str, x: str) -> str:
     return _product(a[:len(a) - k] + x[k:], a_inv, a)
 
 
+def _cyclic_prefix(s: str, s_inv: str) -> int:
+    """Length of p in s = p core p^-1 with core cyclically reduced, for
+    reduced packed s and s_inv = s^-1: their longest common prefix."""
+    return _common_prefix(s, s_inv) if s and s[0] == s_inv[0] else 0
+
+
 def _inner_conjugator(rank: int, images: Sequence[str]) -> Optional[str]:
     """Packed conjugator w with images[i-1] == w x_i w^-1 for all i, or None.
 
@@ -168,11 +174,8 @@ def _inner_conjugator(rank: int, images: Sequence[str]) -> Optional[str]:
     flip = _inverse_table(rank)
     x1, x1_inv, x2 = chr(rank + 1), chr(rank - 1), chr(rank + 2)
     s = images[0]
-    s_inv = s[::-1].translate(flip)
-    # s = p core p^-1 with core cyclically reduced: p is the longest
-    # common prefix of s and s^-1.
-    k = _common_prefix(s, s_inv) if s and s[0] == s_inv[0] else 0
-    if len(s) != 2 * k + 1 or s[k] != x1:
+    k = _cyclic_prefix(s, s[::-1].translate(flip))
+    if len(s) != 2 * k + 1 or s[k] != x1:  # the core must be x_1
         return None
     p, p_inv = s[:k], s[k + 1:]
     u = _conjugate(p_inv, p, images[1])

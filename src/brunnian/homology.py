@@ -50,7 +50,7 @@ TWIST_SIGN = 1
 # the interpreter's default int-to-str limit of 4300.  rho refuses a word
 # whose entries outgrow it, and certificate prints no larger value.
 _MAX_DECIMAL_BITS = 14_000
-_CHECK_EVERY = 64  # letters rho applies between two entry-size checks
+_CHECK_EVERY = 64  # letters applied between two entry checks or reductions
 
 
 def intersection(x: Sequence[int], y: Sequence[int]) -> int:
@@ -131,6 +131,11 @@ class ModularMatrix:
         return all(self.rows[i][j] == (1 if i == j else 0) % self.p
                    for i in range(4) for j in range(4))
 
+    @property
+    def is_neg_identity(self) -> bool:
+        return all(self.rows[i][j] == (-1 if i == j else 0) % self.p
+                   for i in range(4) for j in range(4))
+
 
 def transvection(c: Sequence[int], sign: int = TWIST_SIGN) -> SymplecticMatrix:
     """Matrix of x -> x + sign * <x, c> c. Requires c nonzero."""
@@ -161,18 +166,18 @@ def _letters_of(word) -> tuple[int, ...]:
     return letters
 
 
-def rho(word) -> SymplecticMatrix:
-    """Homology action of a twist word, multiplied in word order.
+def _act(letters: tuple[int, ...], p: int | None) -> list[list[int]]:
+    """Rows of the homology action of ``letters``, exact when p is None,
+    else modulo p.
 
-    Accepts a TwistWord (or any object with signed-integer ``letters``
-    in +-1..5) and is a homomorphism: rho(uv) == rho(u) @ rho(v).  Each
-    letter applies its transvection in place as M <- M + s (M c)(Jc)^T.
-    Every _CHECK_EVERY letters, and at the end, an entry above
-    _MAX_DECIMAL_BITS bits refuses the word with PreconditionError, so
-    the uncharged work stays linear in the length of the word.
+    Each letter applies its transvection in place as
+    M <- M + s (M c)(Jc)^T.  Every _CHECK_EVERY letters, and at the end,
+    the exact rows are checked against _MAX_DECIMAL_BITS (an entry above
+    it refuses the word with PreconditionError) and the modular rows are
+    reduced, so either way the work stays linear in the length of the
+    word.
     """
     m = [list(row) for row in _IDENTITY_ROWS]
-    letters = _letters_of(word)
     for start in range(0, len(letters), _CHECK_EVERY):
         for a in letters[start:start + _CHECK_EVERY]:
             c, jc = CHAIN_CLASSES[abs(a) - 1], _CHAIN_DUALS[abs(a) - 1]
@@ -185,12 +190,26 @@ def rho(word) -> SymplecticMatrix:
                     row[1] += t * jc[1]
                     row[2] += t * jc[2]
                     row[3] += t * jc[3]
+        if p is not None:
+            m = [[x % p for x in row] for row in m]
+            continue
         bits = max(abs(x) for row in m for x in row).bit_length()
         if bits > _MAX_DECIMAL_BITS:
             raise PreconditionError(
                 f"a homology entry of {bits} bits exceeds the limit of "
                 f"{_MAX_DECIMAL_BITS} bits")
-    result = SymplecticMatrix(m)
+    return m
+
+
+def rho(word) -> SymplecticMatrix:
+    """Homology action of a twist word, multiplied in word order.
+
+    Accepts a TwistWord (or any object with signed-integer ``letters``
+    in +-1..5) and is a homomorphism: rho(uv) == rho(u) @ rho(v).  A
+    word whose entries pass _MAX_DECIMAL_BITS bits on the way is refused
+    with PreconditionError (see _act); rho_mod never refuses.
+    """
+    result = SymplecticMatrix(_act(_letters_of(word), None))
     if not result.is_symplectic():
         raise AssertionError("the homology action must be symplectic")
     return result
@@ -229,10 +248,14 @@ def is_prime(p: int) -> bool:
 
 
 def rho_mod(word, p: int = 3) -> ModularMatrix:
-    """rho with entries reduced modulo a prime p (default 3)."""
+    """rho with entries reduced modulo a prime p (default 3).
+
+    The rows are reduced as they are computed, so no word is refused
+    for the size of its entries.
+    """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    return rho(word).mod(p)
+    return ModularMatrix(p, tuple(map(tuple, _act(_letters_of(word), p))))
 
 
 # ---------------------------------------------------------------------------

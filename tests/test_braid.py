@@ -342,6 +342,27 @@ class TestIsTrivialSphere:
         with pytest.raises(LetterBudgetExceeded):
             is_trivial_sphere(brunnian_example(5), LetterBudget(50_000))
 
+    # (s1 s2^-1)^10500 is pure (a 3-cycle to a power divisible by three)
+    # and its lift has entries of about 14,579 bits, past the bound of
+    # homology.rho; the homology stage screens it modulo a prime instead.
+    LONG_POWER = (1, -2) * 10500
+
+    def test_long_six_strand_words_are_decided_by_homology(self):
+        budget = LetterBudget()
+        assert not is_trivial_sphere(braid(6, self.LONG_POWER), budget)
+        # u s4^2 u^-1 has large entries only in its middle.
+        word = braid(6, self.LONG_POWER + (4, 4) + oracles.inverse(self.LONG_POWER))
+        assert not is_trivial_sphere(word, budget)
+        assert budget.used == 0
+
+    def test_long_words_acting_as_minus_identity_reach_the_engine(self):
+        # The conjugated relation word is trivial and its lift acts as -I,
+        # so the screen passes it on and the engine runs out of letters.
+        word = braid(6, self.LONG_POWER + relation_word(6).letters
+                     + oracles.inverse(self.LONG_POWER))
+        with pytest.raises(LetterBudgetExceeded):
+            is_trivial_sphere(word, LetterBudget(100_000))
+
 
 class TestDiskModelOracle:
     @pytest.mark.parametrize("n", [4, 5])

@@ -293,6 +293,20 @@ class TestResourceBounds:
         assert done.stderr.startswith("precondition violated")
         assert "Traceback" not in done.stderr
 
+    # Sphere words are never refused for their homology entries: the
+    # six-strand homology stage screens a lift past the bound modulo a
+    # prime.  (s1 s2^-1)^10500 is pure, with lift entries of 14,579 bits.
+    def test_long_sphere_words_are_decided(self, capsys):
+        word = ("--word", "(s1 s2^-1)^10500")
+        code, out, _ = run(capsys, "check", "--surface", "sphere:6", *word)
+        assert (code, out) == (0, "nontrivial\n")
+        # Forgetting any of strands 4..7 leaves the same six-strand word;
+        # the seven-strand word itself runs out of letters (exit 3).
+        code, doc, _ = run_json(capsys, "brunnian", "--surface", "sphere:7", *word)
+        assert (code, doc["aborted"]) == (3, True)
+        assert doc["per_strand"] == [True] * 3 + [False] * 4
+        assert (doc["brunnian"], doc["trivial"]) == (False, None)
+
     def test_check_answers_below_the_entry_bound(self):
         done = run_subprocess("check", "--surface", "genus2",
                               "--word", "(d1 d2^-1)^10000")

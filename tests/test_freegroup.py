@@ -16,7 +16,8 @@ from brunnian import (BraidWord, LetterBudget, LetterBudgetExceeded,
                       TwistWord)
 from brunnian.errors import PreconditionError
 from brunnian.freegroup import (_common_prefix, _common_suffix, _conjugate,
-                                _inner_conjugator, _inverse_table, _product)
+                                _cyclic_prefix, _inner_conjugator,
+                                _inverse_table, _product)
 
 import oracles
 
@@ -85,11 +86,9 @@ def compose(phi, psi):
 
 
 def cyclic_split(letters, rank=RANK):
-    """The split w = p core p^-1 that _inner_conjugator makes: p is the
-    longest common prefix of w and w^-1."""
+    """The split w = p core p^-1 that _inner_conjugator makes, unpacked."""
     w = oracles.pack(rank, letters)
-    w_inv = invert(rank, w)
-    k = _common_prefix(w, w_inv) if w and w[0] == w_inv[0] else 0
+    k = _cyclic_prefix(w, invert(rank, w))
     return oracles.unpack(rank, w[:k]), oracles.unpack(rank, w[k:len(w) - k])
 
 
@@ -324,6 +323,23 @@ class TestInnerConjugator:
 
     def test_swap_automorphism_not_inner(self):
         assert inner_conjugator(2, ((2,), (1,))) is None
+
+    @pytest.mark.parametrize("core", [(), (2,), (-1,), (1, 1), (1, 2)],
+                             ids=["empty", "x2", "x1-inverse", "x1-squared",
+                                  "even-length"])
+    def test_image_of_x1_must_split_around_x1(self, core):
+        # x1 -> p core p^-1, every other generator conjugated by p: a hit
+        # only for the core x1, here missed for each other core.
+        rng = random.Random(117)
+        for _ in range(20):
+            p = random_reduced(rng, RANK, 12)
+            if p and (p[-1] in core or -p[-1] in core):
+                continue
+            images = list(oracles.conjugation(RANK, p))
+            images[0] = oracles.naive_free_reduce(p + core + oracles.inverse(p))
+            if core:
+                assert cyclic_split(images[0]) == (p, core)
+            assert inner_conjugator(RANK, images) is None
 
     def test_power_offsets_not_inner(self):
         # x1 -> x1, x2 -> x1 x2: fixes x1 but is not a conjugation.

@@ -194,6 +194,21 @@ class TestRho:
     def test_involution_nontrivial_mod_3(self):
         assert not rho_mod(INVOLUTION, 3).is_identity
 
+    def test_involution_is_minus_identity_mod_3(self):
+        assert rho_mod(INVOLUTION, 3).is_neg_identity
+        assert not rho_mod(TwistWord.identity(), 3).is_neg_identity
+
+    def test_mod_reduction_is_never_refused(self):
+        # Exact at 13,885 bits; beyond the bound only the reduced action
+        # exists, and it is still a homomorphism.
+        p = 2 ** 61 - 1
+        word = TwistWord((1, -2) * 10000)
+        assert rho_mod(word, p).rows == rho(word).mod(p).rows
+        power = (1, -2) * 10500
+        conjugated = TwistWord(power + (4,) + oracles.inverse(power))
+        assert rho_mod(conjugated, p) == rho_mod(TwistWord((4,)), p)
+        assert not rho_mod(TwistWord(power), p).is_identity
+
     def test_nested_commutator_matrix(self):
         w = nested_commutator()
         m = rho(w)
