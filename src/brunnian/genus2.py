@@ -7,7 +7,9 @@ induced map on mapping class groups has order two, generated by the
 hyperelliptic involution, whose homology action is minus the identity.
 A twist word is therefore trivial exactly when its projection is
 trivial on the sphere and its integral homology action is the identity;
-the homology side separates the identity from the involution.
+the homology side separates the identity from the involution, modulo
+any odd modulus too, so verdicts read homology.rho_screen; certificates
+compute the exact action, which they print.
 
 The involution is represented by the standard palindromic word
 D1 D2 D3 D4 D5 D5 D4 D3 D2 D1.  The word itself is never trusted: both
@@ -78,13 +80,10 @@ def involution_word() -> TwistWord:
     return _involution
 
 
-def _is_trivial(action: homology.SymplecticMatrix, projection: BraidWord,
+def _is_trivial(action: homology.ModularMatrix, projection: BraidWord,
                 perm: Permutation, budget: LetterBudget) -> bool:
-    """Genus-2 triviality from the word's homology action and projection.
-
-    Any action but the identity already makes the word nontrivial; else
-    the sphere rule decides the pure projection, reading ``action``.
-    """
+    """Genus-2 triviality: the screened action is the identity and the
+    sphere rule, reading that action, finds the pure projection trivial."""
     return (action.is_identity and perm.is_identity()
             and _is_trivial_pure(projection, budget, action))
 
@@ -94,12 +93,12 @@ def is_trivial_genus2(word: TwistWord,
     """Exact triviality in the genus-2 mapping class group.
 
     True exactly when the projection is trivial on the six-punctured
-    sphere and the integral homology action is the identity.  The
-    homology side is evaluated first: it is cheap and already rules out
-    the involution coset.
+    sphere and the screened homology action is the identity, which is
+    read first: it is cheap and already rules out the involution coset.
     """
     projection = project(word)
-    return _is_trivial(homology.rho(word), projection, projection.permutation(),
+    return _is_trivial(homology.rho_screen(word), projection,
+                       projection.permutation(),
                        LetterBudget() if budget is None else budget)
 
 
@@ -115,7 +114,6 @@ class MembershipReport:
     brunnian: BrunnianReport
     rho_mod3_identity: bool
     member: Optional[bool]
-    action: homology.SymplecticMatrix  # integral homology action of the word
 
     @property
     def trivial(self) -> Optional[bool]:
@@ -129,13 +127,16 @@ def membership_theorem12(word: TwistWord,
 
     Member exactly when the projection passes every strand check and
     the mod-3 homology action is the identity.  Budget aborts leave the
-    affected verdicts None.  The homology action is evaluated once; the
-    exact engine runs on the projection only when that action is the
-    identity.
+    affected verdicts None.  The homology action is screened once; the
+    exact engine runs on the projection only when it is the identity.
     """
-    if budget is None:
-        budget = LetterBudget()
-    action = homology.rho(word)
+    return _membership(word, homology.rho_screen(word),
+                       LetterBudget() if budget is None else budget)
+
+
+def _membership(word: TwistWord, action: homology.ModularMatrix,
+                budget: LetterBudget) -> MembershipReport:
+    """membership_theorem12 with the word's screened action given."""
     projection = project(word)
     perm = projection.permutation()
     report = BrunnianReport(
@@ -143,7 +144,7 @@ def membership_theorem12(word: TwistWord,
         trivial=unless_aborted(_is_trivial, action, projection, perm, budget))
     rho3_identity = action.mod(3).is_identity
     member = _fold_verdicts((rho3_identity, report.brunnian))
-    return MembershipReport(report, rho3_identity, member, action)
+    return MembershipReport(report, rho3_identity, member)
 
 
 def certify_pa_genus2(word: TwistWord,
@@ -159,8 +160,8 @@ def certify_pa_genus2(word: TwistWord,
     """
     if budget is None:
         budget = LetterBudget()
-    membership = membership_theorem12(word, budget)
-    action = membership.action
+    action = homology.rho(word)  # printed, so exact; refused before any engine work
+    membership = _membership(word, action.mod(homology.SCREEN_MODULUS), budget)
     poly = homology.charpoly(action)
     return Certificate.build(
         ("genus2",), word, membership.brunnian, budget, input_text,

@@ -20,6 +20,7 @@ Everything here is exact integer arithmetic on 4x4 matrices; no floats.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isqrt
 from typing import Literal, Sequence
@@ -53,6 +54,13 @@ _MAX_DECIMAL_BITS = 14_000
 _CHECK_EVERY = 64  # letters applied between two entry checks or reductions
 
 
+def _integers(values) -> tuple[int, ...]:
+    try:  # operator.index refuses floats and every other non-integer
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise PreconditionError("homology entries must be integers") from None
+
+
 def intersection(x: Sequence[int], y: Sequence[int]) -> int:
     """Symplectic pairing <x, y> = x^T J y."""
     return sum(x[i] * J[i][j] * y[j] for i in range(4) for j in range(4))
@@ -82,7 +90,7 @@ class SymplecticMatrix:
     rows: Rows
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(_integers(row) for row in self.rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise PreconditionError("expected a 4x4 matrix")
         object.__setattr__(self, "rows", rows)
@@ -136,10 +144,16 @@ class ModularMatrix:
         return all(self.rows[i][j] == (-1 if i == j else 0) % self.p
                    for i in range(4) for j in range(4))
 
+    def mod(self, q: int) -> "ModularMatrix":
+        """The same matrix modulo q, which must divide p."""
+        if q < 2 or self.p % q:
+            raise PreconditionError(f"{q} does not divide the modulus {self.p}")
+        return ModularMatrix(q, tuple(tuple(x % q for x in row) for row in self.rows))
+
 
 def transvection(c: Sequence[int], sign: int = TWIST_SIGN) -> SymplecticMatrix:
     """Matrix of x -> x + sign * <x, c> c. Requires c nonzero."""
-    c = tuple(int(x) for x in c)
+    c = _integers(c)
     if len(c) != 4:
         raise PreconditionError("homology vectors have four coordinates")
     if not any(c):
@@ -166,7 +180,7 @@ def _letters_of(word) -> tuple[int, ...]:
     return letters
 
 
-def _act(letters: tuple[int, ...], p: int | None) -> list[list[int]]:
+def _act(letters: tuple[int, ...], p: int | None) -> Rows:
     """Rows of the homology action of ``letters``, exact when p is None,
     else modulo p.
 
@@ -198,7 +212,7 @@ def _act(letters: tuple[int, ...], p: int | None) -> list[list[int]]:
             raise PreconditionError(
                 f"a homology entry of {bits} bits exceeds the limit of "
                 f"{_MAX_DECIMAL_BITS} bits")
-    return m
+    return tuple(map(tuple, m))  # type: ignore[return-value]
 
 
 def rho(word) -> SymplecticMatrix:
@@ -255,7 +269,17 @@ def rho_mod(word, p: int = 3) -> ModularMatrix:
     """
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
-    return ModularMatrix(p, tuple(map(tuple, _act(_letters_of(word), p))))
+    return ModularMatrix(p, _act(_letters_of(word), p))
+
+
+# Modulo 3 this is Theorem 1.2's kernel test; modulo the prime 2^61 - 1 it
+# misses rho != +-I only when 2^61 - 1 divides every entry of rho -+ I.
+SCREEN_MODULUS = 3 * (2 ** 61 - 1)
+
+
+def rho_screen(word) -> ModularMatrix:
+    """rho modulo SCREEN_MODULUS, never refused: the input to every verdict."""
+    return ModularMatrix(SCREEN_MODULUS, _act(_letters_of(word), SCREEN_MODULUS))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +293,7 @@ class CharPolynomial:
     coefficients: tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        coeffs = tuple(int(x) for x in self.coefficients)
+        coeffs = _integers(self.coefficients)
         if len(coeffs) != 5:
             raise PreconditionError("expected five coefficients (degree 4)")
         object.__setattr__(self, "coefficients", coeffs)

@@ -282,20 +282,42 @@ class TestResourceBounds:
         assert "Traceback" not in done.stderr
 
     # rho refuses the word once an entry passes 14,000 bits, so its
-    # quadratic cost on a long pseudo-Anosov power stops there.
+    # quadratic cost on a long pseudo-Anosov power stops there.  Only the
+    # commands that print the integral action compute it.
     @pytest.mark.parametrize("argv", [
-        ("check", "--surface", "genus2"),
         ("homology",),
-    ], ids=["check", "homology"])
+        ("certify", "--surface", "genus2"),
+    ], ids=["homology", "certify"])
     def test_long_pseudo_anosov_powers_are_refused(self, argv):
-        done = run_subprocess(*argv, "--word", "(d1 d2^-1)^200000")
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.startswith("precondition violated")
-        assert "Traceback" not in done.stderr
+        for power in (12000, 200000):
+            done = run_subprocess(*argv, "--word", f"(d1 d2^-1)^{power}")
+            assert (done.returncode, done.stdout) == (2, "")
+            assert done.stderr.startswith("precondition violated")
+            assert "Traceback" not in done.stderr
+
+    # Verdicts read the action modulo homology.SCREEN_MODULUS, which is
+    # never refused: (d1 d2^-1)^12000 has entries of 14,040 bits.
+    @pytest.mark.parametrize("power", [12000, 200000])
+    def test_long_pseudo_anosov_powers_are_decided(self, power):
+        done = run_subprocess("check", "--surface", "genus2",
+                              "--word", f"(d1 d2^-1)^{power}")
+        assert (done.returncode, done.stdout) == (0, "nontrivial\n")
+
+    def test_long_pure_power_strand_checks_abort(self):
+        # The word is nontrivial by its screened action alone.  Forgetting
+        # strand 4, 5 or 6 of its projection leaves a pseudo-Anosov
+        # five-strand word, which runs the engine past the letter cap.
+        done = run_subprocess("brunnian", "--surface", "genus2",
+                              "--word", "(d1 d2^-1)^12000", "--json")
+        assert done.returncode == 3
+        doc = json.loads(done.stdout)
+        assert doc["per_strand"] == [True] * 3 + [None] * 3
+        assert (doc["brunnian"], doc["trivial"]) == (None, False)
 
     # Sphere words are never refused for their homology entries: the
-    # six-strand homology stage screens a lift past the bound modulo a
-    # prime.  (s1 s2^-1)^10500 is pure, with lift entries of 14,579 bits.
+    # six-strand homology stage reads a lift modulo
+    # homology.SCREEN_MODULUS.  (s1 s2^-1)^10500 is pure, with lift
+    # entries of 14,579 bits.
     def test_long_sphere_words_are_decided(self, capsys):
         word = ("--word", "(s1 s2^-1)^10500")
         code, out, _ = run(capsys, "check", "--surface", "sphere:6", *word)

@@ -16,10 +16,12 @@ from brunnian import (
 from brunnian.errors import PreconditionError
 from brunnian.homology import (
     CHAIN_CLASSES,
+    SCREEN_MODULUS,
     TWIST_SIGN,
     J,
     intersection,
     is_prime,
+    rho_screen,
 )
 
 import oracles
@@ -107,6 +109,24 @@ class TestTransvection:
             transvection((0, 0, 0, 0))
 
 
+class TestIntegerEntries:
+    def test_transvection_refuses_non_integers(self):
+        # Truncated, (1.9, 0, 0, 0) would be the twist along a1.
+        with pytest.raises(PreconditionError):
+            transvection((1.9, 0, 0, 0))
+
+    def test_symplectic_matrix_refuses_non_integers(self):
+        # Truncated, a 1.5 on the diagonal would read as the identity.
+        rows = ((1.5, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(PreconditionError):
+            SymplecticMatrix(rows)
+
+    def test_char_polynomial_refuses_non_integers(self):
+        # Truncated, (1, 0.7, 0, 0, 1) would be x^4 + 1.
+        with pytest.raises(PreconditionError):
+            CharPolynomial((1, 0.7, 0, 0, 1))
+
+
 def max_entry_bits(matrix):
     return max(abs(x) for row in matrix.rows for x in row).bit_length()
 
@@ -185,7 +205,14 @@ class TestRho:
         rng = random.Random(204)
         for _ in range(200):
             w = random_twist(rng, 16)
-            assert rho_mod(w, 3).rows == rho(w).mod(3).rows
+            screen = rho_screen(w)
+            assert screen == rho(w).mod(SCREEN_MODULUS)
+            assert rho_mod(w, 3) == rho(w).mod(3) == screen.mod(3)
+
+    @pytest.mark.parametrize("q", [0, -3, 2, 5, 2 ** 61, 3 * SCREEN_MODULUS])
+    def test_reduction_needs_a_divisor_of_the_modulus(self, q):
+        with pytest.raises(PreconditionError):
+            rho_screen(INVOLUTION).mod(q)
 
     def test_generator_sixth_powers_die_mod_3(self):
         for i in range(1, 6):

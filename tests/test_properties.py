@@ -5,6 +5,10 @@
   code 0-3 within a time bound, never an exception.
 * Raising the letter cap only decides verdicts that a smaller cap left
   null; it never changes a decided one.
+* On genus 2, ``check`` (which reads the homology action modulo
+  ``homology.SCREEN_MODULUS``), ``certify`` (which reads it exactly) and
+  the definition (integral action the identity, projection trivial on
+  the sphere) agree on every word.
 """
 
 import contextlib
@@ -14,8 +18,11 @@ from time import perf_counter
 
 from hypothesis import given, settings, strategies as st
 
+from brunnian import TwistWord, is_trivial_sphere, project, rho
 from brunnian.cli import main
 from golden import _pure_tail, _render
+
+import oracles
 
 COMMANDS = st.sampled_from(["check", "brunnian", "certify"])
 SURFACES = st.sampled_from(["sphere:4", "sphere:5", "sphere:6", "sphere:7",
@@ -71,3 +78,38 @@ def test_raising_the_cap_never_flips_a_decided_verdict(word):
     pairs += zip(low["per_strand"], high["per_strand"])
     for before, after in pairs:
         assert before is None or after == before
+
+
+_INVOLUTION = [1, 2, 3, 4, 5, 5, 4, 3, 2, 1]
+
+
+@st.composite
+def genus2_words(draw):
+    """Letters of a short genus-2 word: a random prefix, made pure or not,
+    with the involution inserted up to twice, and then either left as it
+    is or followed by the inverse of the prefix, which leaves a power of
+    the (central) involution."""
+    letters = draw(st.lists(st.integers(1, 5).flatmap(
+        lambda i: st.sampled_from([i, -i])), max_size=10))
+    if draw(st.booleans()):
+        letters += _pure_tail(6, letters)
+    base = list(letters)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = _INVOLUTION
+    if draw(st.booleans()):
+        letters += oracles.inverse(base)
+    return letters
+
+
+@settings(deadline=None)
+@given(genus2_words())
+def test_screened_and_exact_genus2_triviality_agree(letters):
+    text = _render("d", letters)
+    _, out = _run(["check", "--surface", "genus2", "--word", text, "--json"])
+    check = json.loads(out)["trivial"]
+    _, out = _run(["certify", "--surface", "genus2", "--word", text, "--json"])
+    certified = json.loads(out)["checks"]["trivial"]
+    word = TwistWord.from_letters(letters)
+    assert check == certified == (rho(word).is_identity
+                                  and is_trivial_sphere(project(word)))
