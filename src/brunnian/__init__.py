@@ -15,7 +15,6 @@ from .budget import DEFAULT_LETTER_CAP, LetterBudget
 from .certificate import Certificate, canonical_json, render_letters
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
 from .genus2 import (
-    MembershipReport,
     TwistWord,
     certify_pa_genus2,
     involution_word,
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_LETTER_CAP",
     "LetterBudget",
     "LetterBudgetExceeded",
-    "MembershipReport",
     "ModularMatrix",
     "Permutation",
     "PreconditionError",

@@ -233,11 +233,14 @@ class BrunnianReport:
     not reached (letter-budget abort, or a strand not fixed so never
     evaluated).  ``trivial`` is the triviality verdict of the word
     itself and ``permutation`` its puncture permutation.
+    ``rho_mod3_identity`` says on genus 2 whether the mod-3 homology
+    action is the identity (genus2.membership_theorem12); None on spheres.
     """
 
     permutation: Permutation
     per_strand: tuple[Optional[bool], ...]
     trivial: Optional[bool]
+    rho_mod3_identity: Optional[bool] = None
 
     def __post_init__(self):
         if len(self.per_strand) != self.permutation.n:

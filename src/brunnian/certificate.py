@@ -131,17 +131,20 @@ class Certificate:
               input_text: str | None = None, **extra_checks) -> "Certificate":
         """Certificate of ``word`` from its Brunnian report and extra checks.
 
-        ``report`` carries the puncture permutation, the strand verdicts
-        and the word's own triviality; resources are read off ``budget``
-        and the conclusion is :func:`conclude`'s.
+        ``report`` carries the puncture permutation, the strand verdicts,
+        the word's own triviality and, on genus 2, the mod-3 identity
+        check; resources are read off ``budget`` and the conclusion is
+        :func:`conclude`'s.
         """
         checks = {
             "pure": report.permutation.is_identity(),
             "trivial": report.trivial,
             "brunnian_per_strand": list(report.per_strand),
             "brunnian": report.brunnian,
-            **extra_checks,
         }
+        if report.rho_mod3_identity is not None:
+            checks["rho_mod3_identity"] = report.rho_mod3_identity
+        checks.update(extra_checks)
         status, justification = conclude(surface, checks)
         word_text = render_word(surface, word.letters)
         return cls(surface, word_text if input_text is None else input_text,

@@ -127,7 +127,7 @@ def _cmd_brunnian(args) -> int:
         report = braid.brunnian_check(word, budget)
     else:
         # The strand checks are the projection's; triviality is the word's.
-        report = genus2.membership_theorem12(word, budget).brunnian
+        report = genus2.membership_theorem12(word, budget)
     if report.brunnian is None:
         human = "undetermined (letter budget exhausted)"
     else:

@@ -20,14 +20,13 @@ machine-checked the first time it is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import homology
 from .braid import (
     BraidWord,
     BrunnianReport,
     Permutation,
-    _fold_verdicts,
     _is_trivial_pure,
     _strand_verdicts,
     is_trivial_sphere,
@@ -102,49 +101,32 @@ def is_trivial_genus2(word: TwistWord,
                        LetterBudget() if budget is None else budget)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Verdicts for membership in the Brunnian-and-mod-3-kernel subgroup.
-
-    ``brunnian`` holds the projection's strand verdicts (the genus-2
-    Brunnian subgroup is the full preimage of the sphere one) and the
-    genus-2 word's own triviality.
-    """
-
-    brunnian: BrunnianReport
-    rho_mod3_identity: bool
-    member: Optional[bool]
-
-    @property
-    def trivial(self) -> Optional[bool]:
-        return self.brunnian.trivial
-
-
 def membership_theorem12(word: TwistWord,
-                         budget: LetterBudget | None = None) -> MembershipReport:
-    """Membership in the intersection of the Brunnian subgroup with the
-    kernel of the mod-3 homology representation.
+                         budget: LetterBudget | None = None) -> BrunnianReport:
+    """Membership checks for the intersection of the Brunnian subgroup
+    with the kernel of the mod-3 homology representation.
 
-    Member exactly when the projection passes every strand check and
-    the mod-3 homology action is the identity.  Budget aborts leave the
-    affected verdicts None.  The homology action is screened once; the
-    exact engine runs on the projection only when it is the identity.
+    The report holds the projection's strand verdicts (the genus-2
+    Brunnian subgroup is the full preimage of the sphere one), the
+    word's own triviality and ``rho_mod3_identity``; certificate.conclude
+    reads a member from ``brunnian`` and ``rho_mod3_identity`` both True.
+    Budget aborts leave the affected verdicts None.  The homology action
+    is screened once; the exact engine runs on the projection only when
+    it is the identity.
     """
     return _membership(word, homology.rho_screen(word),
                        LetterBudget() if budget is None else budget)
 
 
 def _membership(word: TwistWord, action: homology.ModularMatrix,
-                budget: LetterBudget) -> MembershipReport:
+                budget: LetterBudget) -> BrunnianReport:
     """membership_theorem12 with the word's screened action given."""
     projection = project(word)
     perm = projection.permutation()
-    report = BrunnianReport(
+    return BrunnianReport(
         perm, _strand_verdicts(projection, perm, budget),
-        trivial=unless_aborted(_is_trivial, action, projection, perm, budget))
-    rho3_identity = action.mod(3).is_identity
-    member = _fold_verdicts((rho3_identity, report.brunnian))
-    return MembershipReport(report, rho3_identity, member)
+        trivial=unless_aborted(_is_trivial, action, projection, perm, budget),
+        rho_mod3_identity=action.mod(3).is_identity)
 
 
 def certify_pa_genus2(word: TwistWord,
@@ -161,11 +143,10 @@ def certify_pa_genus2(word: TwistWord,
     if budget is None:
         budget = LetterBudget()
     action = homology.rho(word)  # printed, so exact; refused before any engine work
-    membership = _membership(word, action.mod(homology.SCREEN_MODULUS), budget)
+    report = _membership(word, action.mod(homology.SCREEN_MODULUS), budget)
     poly = homology.charpoly(action)
     return Certificate.build(
-        ("genus2",), word, membership.brunnian, budget, input_text,
-        rho_mod3_identity=membership.rho_mod3_identity,
+        ("genus2",), word, report, budget, input_text,
         rho_integral=[[_decimal(x) for x in row] for row in action.rows],
         charpoly=[_decimal(c) for c in poly.coefficients],
         casson_bleiler=homology.casson_bleiler(poly))

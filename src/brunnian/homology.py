@@ -61,6 +61,14 @@ def _integers(values) -> tuple[int, ...]:
         raise PreconditionError("homology entries must be integers") from None
 
 
+def _matrix(rows) -> Rows:
+    """Integer 4x4 rows; anything else is a PreconditionError."""
+    rows = tuple(_integers(row) for row in rows)
+    if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        raise PreconditionError("expected a 4x4 matrix")
+    return rows  # type: ignore[return-value]
+
+
 def intersection(x: Sequence[int], y: Sequence[int]) -> int:
     """Symplectic pairing <x, y> = x^T J y."""
     return sum(x[i] * J[i][j] * y[j] for i in range(4) for j in range(4))
@@ -81,6 +89,7 @@ def _mat_mul(a: Rows, b: Rows) -> Rows:
 _IDENTITY_ROWS: Rows = tuple(
     tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
 )  # type: ignore[assignment]
+_NEG_IDENTITY_ROWS = tuple(tuple(-x for x in row) for row in _IDENTITY_ROWS)
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,7 @@ class SymplecticMatrix:
     rows: Rows
 
     def __post_init__(self):
-        rows = tuple(_integers(row) for row in self.rows)
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise PreconditionError("expected a 4x4 matrix")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _matrix(self.rows))
 
     @classmethod
     def identity(cls) -> "SymplecticMatrix":
@@ -115,40 +121,44 @@ class SymplecticMatrix:
 
     @property
     def is_neg_identity(self) -> bool:
-        return self.rows == tuple(
-            tuple(-1 if i == j else 0 for j in range(4)) for i in range(4))
+        return self.rows == _NEG_IDENTITY_ROWS
 
     def apply(self, v: Sequence[int]) -> Row:
         return tuple(sum(self.rows[i][j] * v[j] for j in range(4))
                      for i in range(4))  # type: ignore[return-value]
 
     def mod(self, p: int) -> "ModularMatrix":
-        return ModularMatrix(p, tuple(
-            tuple(x % p for x in row) for row in self.rows))
+        return ModularMatrix(p, self.rows)
 
 
 @dataclass(frozen=True)
 class ModularMatrix:
-    """4x4 matrix with entries reduced into [0, p)."""
+    """4x4 integer matrix modulo p >= 2; the constructor reduces the
+    entries into [0, p)."""
 
     p: int
     rows: Rows
 
+    def __post_init__(self):
+        (p,) = _integers((self.p,))
+        if p < 2:
+            raise PreconditionError(f"modulus {p} is below 2")
+        object.__setattr__(self, "rows", tuple(
+            tuple(x % p for x in row) for row in _matrix(self.rows)))
+
     @property
     def is_identity(self) -> bool:
-        return all(self.rows[i][j] == (1 if i == j else 0) % self.p
-                   for i in range(4) for j in range(4))
+        return self.rows == _IDENTITY_ROWS
 
     @property
     def is_neg_identity(self) -> bool:
-        return all(self.rows[i][j] == (-1 if i == j else 0) % self.p
-                   for i in range(4) for j in range(4))
+        return self.rows == ModularMatrix(self.p, _NEG_IDENTITY_ROWS).rows
 
     def mod(self, q: int) -> "ModularMatrix":
         """The same matrix modulo q, which must divide p."""
         if q < 2 or self.p % q:
             raise PreconditionError(f"{q} does not divide the modulus {self.p}")
-        return ModularMatrix(q, tuple(tuple(x % q for x in row) for row in self.rows))
+        return ModularMatrix(q, self.rows)
 
 
 def transvection(c: Sequence[int], sign: int = TWIST_SIGN) -> SymplecticMatrix:
@@ -188,8 +198,8 @@ def _act(letters: tuple[int, ...], p: int | None) -> Rows:
     M <- M + s (M c)(Jc)^T.  Every _CHECK_EVERY letters, and at the end,
     the exact rows are checked against _MAX_DECIMAL_BITS (an entry above
     it refuses the word with PreconditionError) and the modular rows are
-    reduced, so either way the work stays linear in the length of the
-    word.
+    reduced into (-p, p) keeping their sign, so small entries stay small;
+    either way the work stays linear in the length of the word.
     """
     m = [list(row) for row in _IDENTITY_ROWS]
     for start in range(0, len(letters), _CHECK_EVERY):
@@ -205,7 +215,7 @@ def _act(letters: tuple[int, ...], p: int | None) -> Rows:
                     row[2] += t * jc[2]
                     row[3] += t * jc[3]
         if p is not None:
-            m = [[x % p for x in row] for row in m]
+            m = [[x % p if x >= 0 else -(-x % p) for x in row] for row in m]
             continue
         bits = max(abs(x) for row in m for x in row).bit_length()
         if bits > _MAX_DECIMAL_BITS:

@@ -4,20 +4,29 @@
     item := atom ('^' int)?
     atom := GEN | '[' word ',' word ']' | '(' word ')'
     GEN  := ('s' | 'd') uint
+    int  := '-'? uint
     uint := [0-9]+
 
-Tokens may be whitespace-separated or adjacent.  ``s`` generators
-belong to sphere surfaces (index below the strand count), ``d``
-generators to the genus-2 surface (index 1..5).  Powers take a signed
-decimal exponent, a commutator [A, B] expands to A B A^-1 B^-1, and
-parsing returns the fully expanded, word-level reduced word.  Power and
-commutator expansion is charged against the letter budget so that a
-pathological exponent aborts instead of exhausting memory.
+Tokens may be separated by whitespace (the characters of str.isspace)
+or adjacent; digits are ASCII only.  ``s`` generators belong to sphere
+surfaces (index below the strand count), ``d`` generators to the
+genus-2 surface (index 1..5).  Powers take a signed decimal exponent, a
+commutator [A, B] expands to A B A^-1 B^-1, and parsing returns the
+fully expanded, word-level reduced word.  Power and commutator
+expansion is charged against the letter budget so that a pathological
+exponent aborts instead of exhausting memory.
+
+The whole text is tokenized before it is parsed, so a lexical error
+comes first.  A WordSyntaxError is at the unexpected character, at the
+start of the token at fault (a head with no digits, a number too long
+to convert, a wrong or out-of-range generator, a token out of place),
+at the bracket that nests too deep, or at the end of a text that ends
+early.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Union
 
 from .braid import BraidWord
@@ -65,163 +74,133 @@ def surface_label(surface: Surface) -> str:
     return "genus2" if surface[0] == "genus2" else f"sphere:{surface[1]}"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'gen' | 'int' | punctuation kind
-    position: int
-    prefix: str = ""
-    value: int = 0
+# After whitespace (the characters of str.isspace), a token is one
+# punctuation mark, or a head (s, d, '-' or nothing) and its ASCII digits.
+# The patterns are compiled on first use (re caches them), not on import.
+_TOKEN = r"\s*(?:([\[\](),^])|([sd-]?)([0-9]*))"
+_INTEGER = r"-?[0-9]+"
 
 
-_DIGITS = "0123456789"
-
-
-def _uint(text: str, token: int | None, start: int, missing: str) -> tuple[int, int]:
-    """The ASCII digit run at ``start`` as (value, end).
-
-    An empty run or one too long to convert is a WordSyntaxError at the
-    token's position.
-    """
-    end = start
-    while end < len(text) and text[end] in _DIGITS:
-        end += 1
-    if end == start:
-        raise WordSyntaxError(missing, token)
+def _number(text: str, position: int | None) -> int:
+    """The value of '-'? and an ASCII digit run; a run too long to convert
+    is a WordSyntaxError at ``position``."""
     try:
-        return int(text[start:end]), end
+        return int(text)
     except ValueError:  # beyond the interpreter's integer string limit
-        raise WordSyntaxError(f"number of {end - start} digits is too long",
-                              token) from None
+        raise WordSyntaxError(f"number of {len(text.lstrip('-'))} digits "
+                              "is too long", position) from None
 
 
 def integer(text: str) -> int:
     """'-'? then ASCII digits: the grammar's integers, for strand counts and options."""
-    negative = text.startswith("-")
-    value, end = _uint(text, None, int(negative), f"not an integer: {text!r}")
-    if end != len(text):
+    match = re.match(_INTEGER, text)
+    value = match and _number(match[0], None)  # a long run fails first
+    if match is None or match.end() != len(text):
         raise WordSyntaxError(f"not an integer: {text!r}")
-    return -value if negative else value
+    return value
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, position, value) tokens, ending with (None, len(text), None).
+
+    A punctuation mark is its own kind; 'gen' tokens hold (head, index)
+    and 'int' tokens their signed value.
+    """
+    match_token = re.compile(_TOKEN).match
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "[](),^":
-            tokens.append(_Token(ch, i))
-            i += 1
-            continue
-        if ch in "sd":
-            value, end = _uint(text, i, i + 1, "generator letter needs an index")
-            tokens.append(_Token("gen", i, prefix=ch, value=value))
-            i = end
-            continue
-        if ch == "-" or ch in _DIGITS:
-            sign = -1 if ch == "-" else 1
-            value, end = _uint(text, i, i + (ch == "-"),
-                               "expected digits after '-'")
-            tokens.append(_Token("int", i, value=sign * value))
-            i = end
-            continue
-        raise WordSyntaxError(f"unexpected character {ch!r}", i)
-    return tokens
+    end = 0
+    while True:
+        match = match_token(text, end)
+        mark, head, digits = match.groups()
+        start, end = match.start(2), match.end()
+        if mark:
+            tokens.append((mark, end - 1, None))
+        elif start == end:  # no token here
+            if end == len(text):
+                tokens.append((None, end, None))
+                return tokens
+            raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
+        elif not digits:
+            raise WordSyntaxError("expected digits after '-'" if head == "-"
+                                  else "generator letter needs an index", start)
+        elif head in ("s", "d"):
+            tokens.append(("gen", start, (head, _number(digits, start))))
+        else:
+            tokens.append(("int", start, _number(head + digits, start)))
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], surface: Surface,
-                 budget: LetterBudget, text_length: int):
+    def __init__(self, tokens: list[tuple], surface: Surface,
+                 budget: LetterBudget):
         self.tokens = tokens
         self.pos = 0
-        self.surface = surface
         self.budget = budget
-        self.end = text_length
         self.depth = 0
+        if surface[0] == "sphere":
+            self.prefix, self.limit, self.alphabet = "s", surface[1] - 1, "sphere"
+        else:
+            self.prefix, self.limit, self.alphabet = "d", GENERATOR_COUNT, "genus-2"
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise WordSyntaxError(f"expected {kind!r}, found end of input", self.end)
-        if tok.kind != kind:
-            raise WordSyntaxError(
-                f"expected {kind!r}, found {tok.kind!r}", tok.position)
+    def take(self, kind: str):
+        """The value of the next token, which must be of ``kind``."""
+        found, position, value = self.tokens[self.pos]
+        if found != kind:
+            raise WordSyntaxError(f"expected {kind!r}, found " + (
+                "end of input" if found is None else repr(found)), position)
         self.pos += 1
-        return tok
+        return value
 
-    def parse_word(self, stop: set[str]) -> list[int]:
+    def parse_word(self, stop: str | None) -> list[int]:
+        """Items up to the ``stop`` token or the end of input."""
         letters: list[int] = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind in stop:
-                return letters
+        while self.tokens[self.pos][0] not in (None, stop):
             letters.extend(self.parse_item())
+        return letters
 
     def parse_item(self) -> list[int]:
         atom = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "^":
-            self.take("^")
-            exponent = self.take("int").value
-            self.budget.charge(len(atom) * abs(exponent))
-            if exponent < 0:
-                atom = list(_invert(atom))
-                exponent = -exponent
-            return atom * exponent if atom else atom
-        return atom
+        if self.tokens[self.pos][0] != "^":
+            return atom
+        self.pos += 1
+        exponent = self.take("int")
+        self.budget.charge(len(atom) * abs(exponent))
+        if exponent < 0:
+            atom = list(_invert(atom))
+        return atom * abs(exponent) if atom else atom
 
     def parse_atom(self) -> list[int]:
-        tok = self.peek()
-        if tok is None:
-            raise WordSyntaxError("unexpected end of input", self.end)
-        if tok.kind == "gen":
+        kind, position, value = self.tokens[self.pos]
+        if kind == "gen":
             self.pos += 1
-            return [self._letter(tok)]
-        if tok.kind in ("(", "["):
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise WordSyntaxError(
-                    f"nesting deeper than {MAX_NESTING} levels", tok.position)
-        if tok.kind == "(":
-            self.take("(")
-            inner = self.parse_word(stop={")"})
-            self.take(")")
-            self.depth -= 1
-            return inner
-        if tok.kind == "[":
-            self.take("[")
-            left = self.parse_word(stop={","})
-            self.take(",")
-            right = self.parse_word(stop={"]"})
-            self.take("]")
-            self.depth -= 1
-            self.budget.charge(2 * (len(left) + len(right)))
-            return (left + right
-                    + list(_invert(left)) + list(_invert(right)))
-        raise WordSyntaxError(f"unexpected token {tok.kind!r}", tok.position)
-
-    def _letter(self, tok: _Token) -> int:
-        if self.surface[0] == "sphere":
-            if tok.prefix != "s":
-                raise WordSyntaxError(
-                    "sphere words use 's' generators", tok.position)
-            limit = self.surface[1] - 1
-        else:
-            if tok.prefix != "d":
-                raise WordSyntaxError(
-                    "genus-2 words use 'd' generators", tok.position)
-            limit = GENERATOR_COUNT
-        if not 1 <= tok.value <= limit:
+            return [self._letter(position, *value)]
+        if kind not in ("(", "["):
+            raise WordSyntaxError(f"unexpected token {kind!r}", position)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
             raise WordSyntaxError(
-                f"generator index {tok.value} out of range 1..{limit}",
-                tok.position)
-        return tok.value
+                f"nesting deeper than {MAX_NESTING} levels", position)
+        self.pos += 1
+        if kind == "(":
+            letters = self.parse_word(")")
+            self.take(")")
+        else:
+            left = self.parse_word(",")
+            self.take(",")
+            right = self.parse_word("]")
+            self.take("]")
+            self.budget.charge(2 * (len(left) + len(right)))
+            letters = left + right + list(_invert(left)) + list(_invert(right))
+        self.depth -= 1
+        return letters
+
+    def _letter(self, position: int, head: str, index: int) -> int:
+        if head != self.prefix:
+            raise WordSyntaxError(
+                f"{self.alphabet} words use {self.prefix!r} generators", position)
+        if not 1 <= index <= self.limit:
+            raise WordSyntaxError(
+                f"generator index {index} out of range 1..{self.limit}", position)
+        return index
 
 
 def parse_word(text: str, surface: Surface,
@@ -229,12 +208,7 @@ def parse_word(text: str, surface: Surface,
     """Parse word text for a surface into a fully expanded reduced word."""
     if budget is None:
         budget = LetterBudget()
-    parser = _Parser(_tokenize(text), surface, budget, len(text))
-    letters = parser.parse_word(stop=set())
-    leftover = parser.peek()
-    if leftover is not None:
-        raise WordSyntaxError(
-            f"unexpected {leftover.kind!r}", leftover.position)
+    letters = _Parser(_tokenize(text), surface, budget).parse_word(None)
     reduced = _reduce(letters)
     if surface[0] == "sphere":
         return BraidWord(surface[1], reduced)

@@ -97,7 +97,7 @@ def test_criterion_3_genus2_flagship(capsys):
     word = nested_commutator()
 
     membership = membership_theorem12(word)
-    assert membership.brunnian.per_strand == (True,) * 6        # (a)
+    assert membership.per_strand == (True,) * 6                 # (a)
     assert rho_mod(word, 3).is_identity                         # (b)
     assert not rho(word).is_identity                            # (c)
 
@@ -193,7 +193,8 @@ def test_criterion_7_normality_and_centrality(capsys):
             oracles.random_letters(rng, 5, rng.randint(1, 8)))
         conjugated = g * word * g.invert()
         membership = membership_theorem12(conjugated)
-        assert membership.member is True
+        assert membership.brunnian is True
+        assert membership.rho_mod3_identity is True
         assert membership.trivial is False
         sphere_report = brunnian_check(project(conjugated))
         assert sphere_report.brunnian is True

@@ -105,38 +105,39 @@ class TestTriviality:
 
 class TestBrunnianGenus2:
     def test_nested_commutator_is_brunnian(self):
-        report = membership_theorem12(nested_commutator()).brunnian
+        report = membership_theorem12(nested_commutator())
         assert report.per_strand == (True,) * 6
         assert report.brunnian is True
 
     def test_involution_is_brunnian(self):
         # Its projection is trivial, so every forget map kills it; the
         # genus-2 word itself acts as -I on homology, so it is nontrivial.
-        report = membership_theorem12(involution_word()).brunnian
+        report = membership_theorem12(involution_word())
         assert report.brunnian is True
         assert report.trivial is False
 
     def test_single_twist_is_not_brunnian(self):
-        report = membership_theorem12(TwistWord((1,))).brunnian
+        report = membership_theorem12(TwistWord((1,)))
         assert report.brunnian is False
 
 
 class TestMembership:
     def test_nested_commutator_is_a_nontrivial_member(self):
         report = membership_theorem12(nested_commutator())
-        assert report.member is True
+        assert report.brunnian is True
         assert report.rho_mod3_identity is True
         assert report.trivial is False
 
     def test_involution_is_not_a_member(self):
         report = membership_theorem12(involution_word())
-        assert report.member is False
+        assert report.brunnian is True
         assert report.rho_mod3_identity is False
         assert not rho_mod(involution_word(), 3).is_identity
 
     def test_empty_word_is_a_trivial_member(self):
         report = membership_theorem12(TwistWord.identity())
-        assert report.member is True
+        assert report.brunnian is True
+        assert report.rho_mod3_identity is True
         assert report.trivial is True
 
     def test_membership_invariant_under_conjugation(self):
@@ -145,7 +146,8 @@ class TestMembership:
         for _ in range(10):
             g = random_twist(rng, 8)
             report = membership_theorem12(g * word * g.invert())
-            assert report.member is True
+            assert report.brunnian is True
+            assert report.rho_mod3_identity is True
             assert report.trivial is False
 
 

@@ -14,9 +14,14 @@ import json
 
 import pytest
 
-from golden import DATA, run
+from golden import DATA, corpus, run
 
 ENTRIES = json.loads(DATA.read_text(encoding="ascii"))
+
+
+def test_stored_invocations_are_the_generated_corpus():
+    # An edit to corpus() must come with a regenerated data file.
+    assert [entry["argv"] for entry in ENTRIES] == corpus()
 
 
 @pytest.mark.parametrize("entry", ENTRIES,

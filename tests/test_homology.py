@@ -5,6 +5,7 @@ import sympy
 
 from brunnian import (
     CharPolynomial,
+    ModularMatrix,
     SymplecticMatrix,
     TwistWord,
     casson_bleiler,
@@ -27,6 +28,8 @@ from brunnian.homology import (
 import oracles
 
 INVOLUTION = TwistWord((1, 2, 3, 4, 5, 5, 4, 3, 2, 1))
+IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+NEG_IDENTITY_ROWS = tuple(tuple(-x for x in row) for row in IDENTITY_ROWS)
 
 
 def nested_commutator():
@@ -125,6 +128,36 @@ class TestIntegerEntries:
         # Truncated, (1, 0.7, 0, 0, 1) would be x^4 + 1.
         with pytest.raises(PreconditionError):
             CharPolynomial((1, 0.7, 0, 0, 1))
+
+    def test_modular_matrix_refuses_non_integers(self):
+        # Unchecked, a 1.0 on the diagonal compared equal to the identity.
+        rows = ((1.0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        with pytest.raises(PreconditionError):
+            ModularMatrix(3, rows)
+        with pytest.raises(PreconditionError):
+            ModularMatrix(3.0, IDENTITY_ROWS)
+
+
+class TestModularMatrix:
+    def test_rows_are_reduced(self):
+        m = ModularMatrix(3, ((4, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -5)))
+        assert m.rows == IDENTITY_ROWS
+        assert m.is_identity
+        assert ModularMatrix(3, NEG_IDENTITY_ROWS).is_neg_identity
+        assert ModularMatrix(7, NEG_IDENTITY_ROWS).rows[0] == (6, 0, 0, 0)
+
+    @pytest.mark.parametrize("p, rows", [
+        (0, ((1, 0),)),
+        (0, IDENTITY_ROWS),
+        (1, IDENTITY_ROWS),
+        (-3, IDENTITY_ROWS),
+        (3, ((1, 0),)),
+        (3, IDENTITY_ROWS[:3]),
+        (3, IDENTITY_ROWS[:3] + ((0, 0, 1),)),
+    ])
+    def test_refuses_small_moduli_and_other_shapes(self, p, rows):
+        with pytest.raises(PreconditionError):
+            ModularMatrix(p, rows)
 
 
 def max_entry_bits(matrix):

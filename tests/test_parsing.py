@@ -13,6 +13,7 @@ from brunnian import (
     render_letters,
 )
 from brunnian.errors import PreconditionError, WordSyntaxError
+from brunnian.parsing import integer
 
 import oracles
 
@@ -115,6 +116,45 @@ class TestParseErrors:
     def test_bare_integer(self):
         with pytest.raises(WordSyntaxError):
             parse_word("3", SPHERE6)
+
+    @pytest.mark.parametrize("text, surface, message, position", [
+        ("s", SPHERE6, "generator letter needs an index", 0),
+        ("s1^-", SPHERE6, "expected digits after '-'", 3),
+        ("s1\u200bs2", SPHERE6, "unexpected character '\\u200b'", 2),
+        ("[s1,s2", SPHERE6, "expected ']', found end of input", 6),
+        ("s1^s2", SPHERE6, "expected 'int', found 'gen'", 3),
+        ("3", SPHERE6, "unexpected token 'int'", 0),
+        ("s1)", SPHERE6, "unexpected token ')'", 2),
+        ("s1,s2", SPHERE6, "unexpected token ','", 2),
+        ("]", SPHERE6, "unexpected token ']'", 0),
+        ("d1", ("sphere", 5), "sphere words use 's' generators", 0),
+        ("s9", ("sphere", 5), "generator index 9 out of range 1..4", 0),
+        ("s1 " + "s" + "1" * 5000, SPHERE6, "number of 5000 digits is too long", 3),
+        ("(" * 101, SPHERE6, "nesting deeper than 100 levels", 100),
+    ], ids=lambda v: v[:12] if isinstance(v, str) else None)
+    def test_message_and_position(self, text, surface, message, position):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text, surface)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u001c"])
+    def test_unicode_whitespace_separates_tokens(self, space):
+        for text in ("s1{}s2^{}-2", "{}[s1{},{}s2]{}"):
+            assert (parse_word(text.format(space, space, space, space), SPHERE6)
+                    == parse_word(text.format(" ", " ", " ", " "), SPHERE6))
+
+    @pytest.mark.parametrize("text, message", [
+        ("-", "not an integer: '-'"),
+        (" 1", "not an integer: ' 1'"),
+        ("\u0661", "not an integer: '\u0661'"),
+        ("-" + "1" * 5000, "number of 5000 digits is too long"),
+    ], ids=lambda v: v[:12])
+    def test_integer_message(self, text, message):
+        with pytest.raises(WordSyntaxError) as err:
+            integer(text)
+        assert err.value.position is None
+        assert str(err.value) == message
 
     def test_huge_power_hits_the_budget(self):
         with pytest.raises(LetterBudgetExceeded):
