@@ -1,5 +1,10 @@
 """Command-line interface.
 
+Input is read in one order, the first refusal winning: the surface
+(``project`` and ``homology`` default to and require ``genus2``), the
+letter cap, the word from ``--word`` or stripped stdin, the parse.
+``example`` builds its word and takes none.
+
 Exit codes: 0 the command ran to a conclusion (any status, including an
 undetermined certificate), 1 parse or usage error, 2 precondition
 violation, 3 letter budget exceeded.  Budget aborts inside ``certify``
@@ -13,7 +18,7 @@ import sys
 
 from . import braid, genus2, homology
 from .budget import DEFAULT_LETTER_CAP, LetterBudget, unless_aborted
-from .certificate import _decimal, canonical_json, render_letters, render_word
+from .certificate import _decimal, canonical_json, render_word
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
 from .parsing import (integer, parse_surface, parse_word, sphere_surface,
                       surface_label)
@@ -60,17 +65,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _surface(args, default: str | None = None):
-    text = args.surface or default
-    if text is None:
+def _read(args, default: str | None = None):
+    """The command's surface, budget, word text and parsed word, read in
+    that order; a ``default`` surface is the only one the command takes."""
+    name = args.surface or default
+    if name is None:
         raise _UsageError(f"{args.command} requires --surface")
-    return parse_surface(text)
-
-
-def _word_text(args) -> str:
-    if args.word is not None:
-        return args.word
-    return sys.stdin.read().strip()
+    surface = parse_surface(name)
+    if default is not None and surface[0] != default:
+        raise PreconditionError(f"{args.command} takes a genus-2 word")
+    budget = _budget(args)
+    text = args.word if args.word is not None else sys.stdin.read().strip()
+    return surface, budget, text, parse_word(text, surface, budget)
 
 
 def _budget(args) -> LetterBudget:
@@ -80,16 +86,13 @@ def _budget(args) -> LetterBudget:
 
 
 def _emit(args, doc: dict, human: str) -> None:
-    if args.json:
-        print(canonical_json(doc))
-    else:
-        print(human)
+    print(canonical_json(doc) if args.json else human)
 
 
-def _verdict_text(value) -> str:
+def _verdict_text(value, yes: str = "trivial", no: str = "nontrivial") -> str:
     if value is None:
         return "undetermined (letter budget exhausted)"
-    return "trivial" if value else "nontrivial"
+    return yes if value else no
 
 
 def _report(args, surface, word, budget: LetterBudget, human: str,
@@ -108,9 +111,7 @@ def _report(args, surface, word, budget: LetterBudget, human: str,
 
 
 def _cmd_check(args) -> int:
-    surface = _surface(args)
-    budget = _budget(args)
-    word = parse_word(_word_text(args), surface, budget)
+    surface, budget, _, word = _read(args)
     if surface[0] == "sphere":
         verdict = unless_aborted(braid.is_trivial_sphere, word, budget)
     else:
@@ -120,18 +121,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_brunnian(args) -> int:
-    surface = _surface(args)
-    budget = _budget(args)
-    word = parse_word(_word_text(args), surface, budget)
+    surface, budget, _, word = _read(args)
     if surface[0] == "sphere":
         report = braid.brunnian_check(word, budget)
     else:
         # The strand checks are the projection's; triviality is the word's.
         report = genus2.membership_theorem12(word, budget)
-    if report.brunnian is None:
-        human = "undetermined (letter budget exhausted)"
-    else:
-        human = "brunnian" if report.brunnian else "not brunnian"
+    human = _verdict_text(report.brunnian, "brunnian", "not brunnian")
     return _report(args, surface, word, budget,
                    f"{human}; word {_verdict_text(report.trivial)}",
                    per_strand=list(report.per_strand),
@@ -139,16 +135,12 @@ def _cmd_brunnian(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    surface = _surface(args, default="genus2")
-    if surface[0] != "genus2":
-        raise PreconditionError("project takes a genus-2 word")
-    budget = _budget(args)
-    word = parse_word(_word_text(args), surface, budget)
+    surface, _, _, word = _read(args, default="genus2")
     projection = genus2.project(word)
-    rendered = render_letters("s", projection.letters)
+    rendered = render_word(sphere_surface(projection.n), projection.letters)
     doc = {
-        "surface": "genus2",
-        "word": render_letters("d", word.letters),
+        "surface": surface_label(surface),
+        "word": render_word(surface, word.letters),
         "projection": rendered,
         "n": projection.n,
     }
@@ -157,11 +149,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    surface = _surface(args, default="genus2")
-    if surface[0] != "genus2":
-        raise PreconditionError("homology takes a genus-2 word")
-    budget = _budget(args)
-    word = parse_word(_word_text(args), surface, budget)
+    surface, _, _, word = _read(args, default="genus2")
     if args.mod is None:
         matrix = homology.rho(word)
         rows = [[_decimal(x) for x in row] for row in matrix.rows]
@@ -172,7 +160,8 @@ def _cmd_homology(args) -> int:
         matrix = homology.rho_mod(word, args.mod)
         rows = [[str(x) for x in row] for row in matrix.rows]
         entries = {"matrix": [list(row) for row in matrix.rows]}
-    doc = {"surface": "genus2", "word": render_letters("d", word.letters),
+    doc = {"surface": surface_label(surface),
+           "word": render_word(surface, word.letters),
            "mod": args.mod, **entries, "identity": matrix.is_identity}
     human = "\n".join(" ".join(row) for row in rows)
     _emit(args, doc, human)
@@ -180,10 +169,7 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    surface = _surface(args)
-    budget = _budget(args)
-    text = _word_text(args)
-    word = parse_word(text, surface, budget)
+    surface, budget, text, word = _read(args)
     if surface[0] == "sphere":
         cert = braid.certify_pa_sphere(word, budget, input_text=text)
     else:
@@ -193,15 +179,16 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    if args.word is not None:
+        raise _UsageError("example takes no --word; it builds its own")
     n = args.n
     surface = parse_surface(args.surface) if args.surface else None
     if n < 5:
         raise PreconditionError("the example family starts at five strands")
-    if surface is None:
-        surface = sphere_surface(n)
-    elif surface[0] == "genus2" and n != 6:
+    surface = surface or sphere_surface(n)
+    if surface[0] == "genus2" and n != 6:
         raise PreconditionError("the genus-2 example needs --n 6")
-    elif surface[0] == "sphere" and surface[1] != n:
+    if surface[0] == "sphere" and surface[1] != n:
         raise PreconditionError("--surface strand count must match --n")
     # The word is charged in full before it is built.
     _budget(args).charge(braid.example_length(n))
@@ -228,9 +215,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

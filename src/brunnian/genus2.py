@@ -20,6 +20,7 @@ machine-checked the first time it is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from . import homology
@@ -55,28 +56,22 @@ def project(word: TwistWord) -> BraidWord:
     return BraidWord(6, word.letters)
 
 
-_INVOLUTION_LETTERS = (1, 2, 3, 4, 5, 5, 4, 3, 2, 1)
-_involution: TwistWord | None = None
-
-
+@cache
 def involution_word() -> TwistWord:
     """The hyperelliptic involution word, verified before first use.
 
     Checks that the projection is trivial on the sphere and that the
     integral homology action is minus the identity; either failure
     would mean the twist conventions are inconsistent, so it is treated
-    as an internal error rather than a user-facing one.
+    as an internal error rather than a user-facing one, and a failed
+    check caches nothing.
     """
-    global _involution
-    if _involution is None:
-        word = TwistWord(_INVOLUTION_LETTERS)
-        action = homology.rho(word)
-        if not action.is_neg_identity:
-            raise AssertionError("involution word must act as -I on homology")
-        if not is_trivial_sphere(project(word)):
-            raise AssertionError("involution word must project to a trivial class")
-        _involution = word
-    return _involution
+    word = TwistWord((1, 2, 3, 4, 5, 5, 4, 3, 2, 1))
+    if not homology.rho(word).is_neg_identity:
+        raise AssertionError("involution word must act as -I on homology")
+    if not is_trivial_sphere(project(word)):
+        raise AssertionError("involution word must project to a trivial class")
+    return word
 
 
 def _is_trivial(action: homology.ModularMatrix, projection: BraidWord,

@@ -393,6 +393,36 @@ class TestErrorsAndInput:
                            "--word", "s1", "--max-letters", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, expected, message", [
+        (("check", "--max-letters", "0"), 1,
+         "usage error: check requires --surface"),
+        (("check", "--surface", "torus", "--max-letters", "0"), 1,
+         "parse error: unknown surface 'torus'; use sphere:N or genus2"),
+        (("project", "--surface", "sphere:6", "--max-letters", "0"), 2,
+         "precondition violated: project takes a genus-2 word"),
+        (("homology", "--surface", "sphere:6", "--word", "d1^"), 2,
+         "precondition violated: homology takes a genus-2 word"),
+        (("homology", "--max-letters", "0", "--word", "d1^"), 1,
+         "usage error: --max-letters must be positive"),
+        (("brunnian", "--surface", "sphere:5", "--max-letters", "0"), 1,
+         "usage error: --max-letters must be positive"),
+        # The parse comes before the five-puncture precondition.
+        (("certify", "--surface", "sphere:4", "--word", "s1^"), 1,
+         "parse error: expected 'int', found end of input (at position 3)"),
+        (("example", "--n", "6", "--word", "s1"), 1,
+         "usage error: example takes no --word; it builds its own"),
+    ])
+    def test_first_refusal_wins(self, capsys, monkeypatch, argv, expected,
+                                message):
+        """Surface, then letter cap, then the word; stdin is never read
+        before the surface and the cap are accepted."""
+        class Unread:
+            def read(self):
+                pytest.fail("stdin read before an earlier refusal")
+
+        monkeypatch.setattr("sys.stdin", Unread())
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (expected, "", message + "\n")
 
     @pytest.mark.parametrize("opener, closer", [("(", ")"), ("[", ",s1]")])
     @pytest.mark.parametrize("depth", [400, 10000])

@@ -1,8 +1,9 @@
 """Properties of the command line over generated input.
 
-* Any text over the word alphabet (plus a non-ASCII digit), on any
-  surface, makes ``check``, ``brunnian`` and ``certify`` return an exit
-  code 0-3 within a time bound, never an exception.
+* Any text over the word alphabet (plus a non-ASCII digit), given as
+  ``--word`` or on stdin, on any surface, an omitted one or a malformed
+  one, makes every command return an exit code 0-3 within a time bound,
+  never an exception.
 * Raising the letter cap only decides verdicts that a smaller cap left
   null; it never changes a decided one.
 * On genus 2, ``check`` (which reads the homology action modulo
@@ -15,6 +16,7 @@ import contextlib
 import io
 import json
 from time import perf_counter
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,25 +26,46 @@ from golden import _pure_tail, _render
 
 import oracles
 
-COMMANDS = st.sampled_from(["check", "brunnian", "certify"])
-SURFACES = st.sampled_from(["sphere:4", "sphere:5", "sphere:6", "sphere:7",
-                            "genus2"])
+COMMANDS = st.sampled_from(["check", "brunnian", "project", "homology",
+                            "certify", "example"])
+SURFACES = st.sampled_from([None, "sphere:4", "sphere:5", "sphere:6",
+                            "sphere:7", "genus2", "sphere:x", "torus",
+                            "sphere:1001"])
 TEXT = st.text(alphabet="sd0123456789^-[](), ²", max_size=60)
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
+def _run(argv: list[str], stdin: str = "") -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
         code = main(argv)
     return code, out.getvalue()
 
 
+@st.composite
+def invocations(draw):
+    """Any command's argv and stdin: an optional surface, the command's
+    own option (``--n`` for example, an optional ``--mod`` for homology)
+    and the text as ``--word`` or on stdin."""
+    command, surface = draw(COMMANDS), draw(SURFACES)
+    argv = [command, "--max-letters", "2000"]
+    if surface is not None:
+        argv += ["--surface", surface]
+    if command == "example":
+        argv += ["--n", str(draw(st.sampled_from([4, 5, 6, 7])))]
+    if command == "homology":
+        argv += draw(st.sampled_from([[], ["--mod", "3"], ["--mod", "4"]]))
+    text = draw(TEXT)
+    if draw(st.booleans()):
+        return argv, text
+    return argv + ["--word", text], ""
+
+
 @settings(deadline=None)
-@given(COMMANDS, SURFACES, TEXT)
-def test_any_text_ends_with_a_documented_exit_code(command, surface, text):
+@given(invocations())
+def test_any_text_ends_with_a_documented_exit_code(invocation):
     start = perf_counter()
-    code, _ = _run([command, "--surface", surface, "--word", text,
-                    "--max-letters", "2000"])
+    code, _ = _run(*invocation)
     assert code in (0, 1, 2, 3)
     assert perf_counter() - start < 10
 
