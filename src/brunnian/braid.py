@@ -72,9 +72,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
@@ -82,29 +79,33 @@ class Permutation:
         return self.images[i - 1] == i
 
 
+# Braids have at most this many strands.  The per-strand sweeps and the
+# identity tables are linear in the strand count and not charged to the
+# letter budget, so the count itself needs a bound.
+MAX_STRANDS = 1000
+
+
 @dataclass(frozen=True)
 class BraidWord(Word):
-    """Freely reduced word in the sphere braid generators on n strands."""
+    """Freely reduced word in the sphere braid generators on n strands,
+    for an int n in 2..MAX_STRANDS; the letters are reduced as for Word."""
 
     n: int
     letters: Letters = ()
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise PreconditionError(
+                f"a braid's strand count must be an int, not {type(self.n).__name__}")
         if self.n < 2:
             raise PreconditionError("a braid needs at least two strands")
+        if self.n > MAX_STRANDS:
+            raise PreconditionError(f"a braid has at most {MAX_STRANDS} strands")
         super().__post_init__()
 
     @property
     def bound(self) -> int:
         return self.n - 1
-
-    @classmethod
-    def from_letters(cls, n: int, letters: Iterable[int]) -> "BraidWord":
-        """Build a word from raw letters, cancelling adjacent inverse pairs.
-
-        Reduction does not change the mapping class the word represents.
-        """
-        return cls._from_raw(letters, n)
 
     def permutation(self) -> Permutation:
         """Puncture permutation induced by the word (start strand -> end position)."""
@@ -142,7 +143,7 @@ class BraidWord(Word):
         if pos != i:
             raise PreconditionError(
                 f"strand {i} is not fixed by the word's permutation")
-        return BraidWord.from_letters(self.n - 1, out)
+        return BraidWord(self.n - 1, out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ guessing.
 
 Linear-cost word operations (reduction, concatenation, inversion,
 strand removal) and the per-strand tables are not charged: they are
-bounded by the word and by the strand count, which parsing caps at
-MAX_STRANDS.  Substitution output counts, as do the parser's expansion
+bounded by the word and by the strand count, which BraidWord caps at
+braid.MAX_STRANDS.  Substitution output counts, as do the parser's expansion
 of powers and commutators and the word the ``example`` command builds.
 """
 

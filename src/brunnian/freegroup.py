@@ -2,9 +2,9 @@
 
 Words are tuples of nonzero signed integers: ``+i`` denotes the i-th
 generator (1-based), ``-i`` its inverse.  Every stored word is freely
-reduced, i.e. contains no adjacent pair ``a, -a``.  Free reduction of a
-raw letter sequence is done with a single stack pass, so all word
-operations here are linear in their input size.
+reduced, i.e. contains no adjacent pair ``a, -a``: the ``Word``
+constructor reduces the letters it is given with a single stack pass,
+so all word operations here are linear in their input size.
 
 The engine behind the mapping-class word problem keeps its words
 packed: a word of rank r is a ``str`` with letter a stored as
@@ -49,18 +49,6 @@ def _reduce(letters: Iterable[int]) -> Letters:
 
 def _invert(letters: Sequence[int]) -> Letters:
     return tuple(-a for a in reversed(letters))
-
-
-def _concat(u: Sequence[int], v: Sequence[int]) -> Letters:
-    # Both inputs reduced: cancellation can only happen at the seam.
-    out = list(u)
-    i = 0
-    n = len(v)
-    while out and i < n and out[-1] == -v[i]:
-        out.pop()
-        i += 1
-    out.extend(v[i:])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -203,40 +191,24 @@ class Word:
 
     A subclass is a frozen dataclass whose last field is ``letters``; its
     other fields name the group (a strand count, or nothing) and
-    ``bound`` is the largest generator index they allow.  Construction
-    validates the letters and requires them freely reduced; the
-    subclass's raw-letter constructor reduces them first.  Operations
-    return a word of the same type and group.
+    ``bound`` is the largest generator index they allow.  The
+    constructor is the only way to build a word: it takes any iterable
+    of letters, checks each against ``bound`` before reducing, so an
+    out-of-range pair that would cancel is still refused, and stores the
+    freely reduced letters.  Operations return a word of the same type
+    and group.
     """
 
     letters: Letters
 
     def __post_init__(self):
         letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
-        self._check_range(letters)
-        for prev, a in zip(letters, letters[1:]):
-            if a == -prev:
-                raise ValueError(f"{type(self).__name__} letters are not freely "
-                                 "reduced; build the word from raw letters")
-
-    def _check_range(self, letters: Sequence[int]) -> None:
         bound = self.bound
         for a in letters:
             if not isinstance(a, int) or not 1 <= abs(a) <= bound:
                 raise PreconditionError(
                     f"letter {a} out of range 1..{bound} for {type(self).__name__}")
-
-    @classmethod
-    def _from_raw(cls, letters: Iterable[int], *group):
-        empty = cls(*group)
-        letters = tuple(letters)
-        empty._check_range(letters)
-        return empty._with(_reduce(letters))
-
-    @classmethod
-    def identity(cls, *group):
-        return cls(*group)
+        object.__setattr__(self, "letters", _reduce(letters))
 
     def _with(self, letters: Letters):
         return replace(self, letters=letters)
@@ -245,7 +217,7 @@ class Word:
         # Same group: the two words agree once their letters are dropped.
         if type(other) is not type(self) or self._with(()) != other._with(()):
             raise PreconditionError("words of different groups cannot be multiplied")
-        return self._with(_concat(self.letters, other.letters))
+        return self._with(self.letters + other.letters)
 
     __mul__ = concat
 
@@ -254,7 +226,7 @@ class Word:
 
     def power(self, k: int):
         base = self.letters if k >= 0 else _invert(self.letters)
-        return self._with(_reduce(base * abs(k)))
+        return self._with(base * abs(k))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
 
 from . import homology
 from .braid import (
@@ -45,10 +44,6 @@ class TwistWord(Word):
 
     letters: Letters = ()
     bound = GENERATOR_COUNT
-
-    @classmethod
-    def from_letters(cls, letters: Iterable[int]) -> "TwistWord":
-        return cls._from_raw(letters)
 
 
 def project(word: TwistWord) -> BraidWord:

@@ -29,10 +29,10 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from .braid import BraidWord
+from .braid import MAX_STRANDS, BraidWord
 from .budget import LetterBudget
 from .errors import PreconditionError, WordSyntaxError
-from .freegroup import _invert, _reduce
+from .freegroup import _invert
 from .genus2 import GENERATOR_COUNT, TwistWord
 
 Surface = tuple  # ("sphere", n) or ("genus2",)
@@ -41,11 +41,6 @@ Word = Union[BraidWord, TwistWord]
 # Groups and commutators nest at most this deep; the parser recurses
 # once per level, so the limit keeps it far from the interpreter's.
 MAX_NESTING = 100
-
-# Spheres have at most this many punctures.  The per-strand sweeps and
-# the identity tables are linear in the strand count and not charged to
-# the letter budget, so the count itself needs a bound.
-MAX_STRANDS = 1000
 
 
 def sphere_surface(n: int) -> Surface:
@@ -209,7 +204,6 @@ def parse_word(text: str, surface: Surface,
     if budget is None:
         budget = LetterBudget()
     letters = _Parser(_tokenize(text), surface, budget).parse_word(None)
-    reduced = _reduce(letters)
     if surface[0] == "sphere":
-        return BraidWord(surface[1], reduced)
-    return TwistWord(reduced)
+        return BraidWord(surface[1], letters)
+    return TwistWord(letters)

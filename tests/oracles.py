@@ -205,7 +205,7 @@ def random_letters(rng, rank, length):
 
 def random_braid(rng, n, max_len, max_gen=None):
     gens = max_gen if max_gen is not None else n - 1
-    return BraidWord.from_letters(
+    return BraidWord(
         n, random_letters(rng, gens, rng.randint(0, max_len)))
 
 
@@ -213,7 +213,7 @@ def random_pure_braid(rng, n, max_len, max_gen=None):
     """Rejection-sample a word with identity puncture permutation."""
     while True:
         length = 2 * rng.randint(0, max_len // 2)
-        word = BraidWord.from_letters(
+        word = BraidWord(
             n, random_letters(rng, max_gen if max_gen is not None else n - 1,
                               length))
         if word.permutation().is_identity():

@@ -15,6 +15,7 @@ from brunnian import (
     is_trivial_sphere,
 )
 from brunnian.braid import (
+    MAX_STRANDS,
     _action_table,
     _inner_conjugator,
     commutator,
@@ -26,7 +27,7 @@ import oracles
 
 
 def braid(n, letters):
-    return BraidWord.from_letters(n, letters)
+    return BraidWord(n, letters)
 
 
 def relation_word(n):
@@ -84,9 +85,29 @@ class TestBraidWord:
         with pytest.raises(PreconditionError):
             BraidWord(1, ())
 
-    def test_unreduced_direct_construction_rejected(self):
-        with pytest.raises(ValueError):
-            BraidWord(3, (1, -1))
+    def test_direct_construction_reduces(self):
+        assert BraidWord(3, (1, -1)) == BraidWord(3)
+        assert BraidWord(4, [1, 2, -2, -1, 3]).letters == (3,)
+
+    def test_cancelling_out_of_range_letters_rejected(self):
+        # The range check comes before reduction.
+        with pytest.raises(PreconditionError):
+            BraidWord(3, (5, -5))
+        with pytest.raises(PreconditionError):
+            BraidWord(3, ("a", "a"))
+
+    def test_float_strand_count_rejected(self):
+        with pytest.raises(PreconditionError):
+            BraidWord(5.0, (1,))
+
+    def test_str_strand_count_rejected(self):
+        with pytest.raises(PreconditionError):
+            BraidWord("5", ())
+
+    def test_strand_count_above_max_rejected(self):
+        assert BraidWord(MAX_STRANDS, (1, 1)).n == MAX_STRANDS
+        with pytest.raises(PreconditionError):
+            BraidWord(MAX_STRANDS + 1, (1, 1))
 
 
 class TestPermutation:
@@ -104,7 +125,7 @@ class TestPermutation:
     def test_tracks_positions(self):
         # s1 s2 carries strand 1 to position 3.
         perm = braid(3, [1, 2]).permutation()
-        assert perm(1) == 3 and perm(2) == 1 and perm(3) == 2
+        assert perm.images == (3, 1, 2)
 
 
 class TestRemoveStrand:
@@ -112,8 +133,8 @@ class TestRemoveStrand:
         assert braid(3, [1, 1]).remove_strand(3) == braid(2, [1, 1])
 
     def test_removing_a_crossing_strand_kills_the_crossings(self):
-        assert braid(3, [1, 1]).remove_strand(1) == BraidWord.identity(2)
-        assert braid(3, [1, 1]).remove_strand(2) == BraidWord.identity(2)
+        assert braid(3, [1, 1]).remove_strand(1) == BraidWord(2)
+        assert braid(3, [1, 1]).remove_strand(2) == BraidWord(2)
 
     def test_index_shift(self):
         assert braid(4, [3, 3]).remove_strand(1) == braid(3, [2, 2])
@@ -309,7 +330,7 @@ class TestChargeDifferential:
 
 class TestIsTrivialSphere:
     def test_empty_word(self):
-        assert is_trivial_sphere(BraidWord.identity(6))
+        assert is_trivial_sphere(BraidWord(6))
 
     def test_sphere_relation(self):
         for n in range(4, 8):
@@ -336,7 +357,7 @@ class TestIsTrivialSphere:
 
     def test_three_punctures_unsupported(self):
         with pytest.raises(PreconditionError):
-            is_trivial_sphere(BraidWord.identity(3))
+            is_trivial_sphere(BraidWord(3))
 
     def test_budget_abort_raises(self):
         with pytest.raises(LetterBudgetExceeded):
@@ -373,7 +394,7 @@ class TestDiskModelOracle:
                  for _ in range(50)]
         # Constructed trivial inputs so the positive branch is exercised too.
         twist = braid(n, list(range(1, k)) * k)
-        words += [twist, twist * twist, BraidWord.identity(n)]
+        words += [twist, twist * twist, BraidWord(n)]
         for _ in range(5):
             g = oracles.random_braid(rng, n, 6, max_gen=n - 2)
             words.append(g * twist * g.invert())
@@ -388,7 +409,7 @@ class TestDiskModelOracle:
 
 class TestBrunnian:
     def test_empty_word_is_brunnian(self):
-        report = brunnian_check(BraidWord.identity(6))
+        report = brunnian_check(BraidWord(6))
         assert report.brunnian is True
         assert report.trivial is True
         assert report.per_strand == (True,) * 6
@@ -402,7 +423,7 @@ class TestBrunnian:
     def test_strand_removals_collapse_at_word_level(self):
         word = brunnian_example(6)
         for i in range(1, 7):
-            assert word.remove_strand(i) == BraidWord.identity(5)
+            assert word.remove_strand(i) == BraidWord(5)
 
     def test_generator_sixth_power_fails(self):
         report = brunnian_check(braid(6, [1] * 6))
@@ -427,7 +448,7 @@ class TestBrunnian:
 
     def test_too_few_strands(self):
         with pytest.raises(PreconditionError):
-            brunnian_check(BraidWord.identity(3))
+            brunnian_check(BraidWord(3))
 
     def test_conjugation_invariance(self):
         rng = random.Random(305)
@@ -484,7 +505,7 @@ class TestCertifySphere:
         assert cert.checks["trivial"] is False
 
     def test_empty_word_is_trivial(self):
-        cert = certify_pa_sphere(BraidWord.identity(6))
+        cert = certify_pa_sphere(BraidWord(6))
         assert cert.status == "trivial"
         assert cert.justification == "none"
 
@@ -513,7 +534,7 @@ class TestCertifySphere:
 
     def test_small_sphere_rejected(self):
         with pytest.raises(PreconditionError):
-            certify_pa_sphere(BraidWord.identity(4))
+            certify_pa_sphere(BraidWord(4))
 
     def test_conclusion_must_follow_from_the_checks(self):
         checks = {"pure": True, "trivial": False,
@@ -532,7 +553,7 @@ class TestCertifySphere:
                 cert(status, justification)
 
     def test_certificate_has_no_genus2_fields(self):
-        cert = certify_pa_sphere(BraidWord.identity(6))
+        cert = certify_pa_sphere(BraidWord(6))
         assert "rho_integral" not in cert.checks
         assert "rho_mod3_identity" not in cert.checks
         assert "charpoly" not in cert.checks

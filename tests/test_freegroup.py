@@ -29,7 +29,7 @@ letters_st = st.lists(
 
 
 def word(letters, n=STRANDS):
-    return BraidWord.from_letters(n, letters)
+    return BraidWord(n, letters)
 
 
 def random_reduced(rng, rank, max_len):
@@ -114,14 +114,15 @@ class TestReduce:
 
     def test_agrees_with_naive_oracle(self):
         rng = random.Random(102)
-        for _ in range(1000):
-            letters = oracles.random_letters(rng, RANK, rng.randint(0, 64))
-            assert word(letters).letters == oracles.naive_free_reduce(letters)
+        for make, rank in ((word, RANK), (TwistWord, 5)):
+            for _ in range(1000):
+                letters = oracles.random_letters(rng, rank, rng.randint(0, 64))
+                assert make(letters).letters == oracles.naive_free_reduce(letters)
 
     @given(letters_st)
     def test_idempotent(self, letters):
         once = word(letters)
-        assert BraidWord.from_letters(STRANDS, once.letters) == once
+        assert BraidWord(STRANDS, once.letters) == once
 
     def test_index_out_of_range(self):
         with pytest.raises(PreconditionError):
@@ -129,9 +130,8 @@ class TestReduce:
         with pytest.raises(PreconditionError):
             BraidWord(3, (0,))
 
-    def test_unreduced_direct_construction_rejected(self):
-        with pytest.raises(ValueError):
-            BraidWord(3, (1, -1))
+    def test_direct_construction_reduces(self):
+        assert BraidWord(3, (1, -1)).letters == ()
 
 
 class TestConcat:
@@ -170,7 +170,7 @@ class TestPower:
     def test_agrees_with_repeated_product(self):
         rng = random.Random(106)
         for make in (lambda ls: word(ls),
-                     lambda ls: TwistWord.from_letters([a % 5 + 1 for a in ls])):
+                     lambda ls: TwistWord([a % 5 + 1 for a in ls])):
             for _ in range(200):
                 w = make(oracles.random_letters(rng, RANK, rng.randint(0, 12)))
                 k = rng.randint(-6, 6)

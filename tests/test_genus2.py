@@ -23,7 +23,7 @@ import oracles
 
 
 def random_twist(rng, max_len):
-    return TwistWord.from_letters(
+    return TwistWord(
         oracles.random_letters(rng, 5, rng.randint(0, max_len)))
 
 
@@ -40,7 +40,7 @@ class TestProject:
         assert project(TwistWord((-3, 5))) == BraidWord(6, (-3, 5))
 
     def test_empty(self):
-        assert project(TwistWord.identity()) == BraidWord.identity(6)
+        assert project(TwistWord()) == BraidWord(6)
 
     def test_homomorphism_exactly(self):
         rng = random.Random(401)
@@ -73,7 +73,7 @@ class TestInvolution:
 
 class TestTriviality:
     def test_empty_word(self):
-        assert is_trivial_genus2(TwistWord.identity())
+        assert is_trivial_genus2(TwistWord())
 
     def test_generator_product_sixth_power(self):
         assert is_trivial_genus2(GENERATOR_PRODUCT_SIXTH)
@@ -135,7 +135,7 @@ class TestMembership:
         assert not rho_mod(involution_word(), 3).is_identity
 
     def test_empty_word_is_a_trivial_member(self):
-        report = membership_theorem12(TwistWord.identity())
+        report = membership_theorem12(TwistWord())
         assert report.brunnian is True
         assert report.rho_mod3_identity is True
         assert report.trivial is True
@@ -176,7 +176,7 @@ class TestCertifyGenus2:
         assert cert.checks["casson_bleiler"] == "inconclusive"
 
     def test_empty_word_trivial(self):
-        cert = certify_pa_genus2(TwistWord.identity())
+        cert = certify_pa_genus2(TwistWord())
         assert cert.status == "trivial"
 
     def test_charpoly_fallback_certifies_non_brunnian_word(self):
@@ -204,8 +204,12 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             TwistWord((6,))
         with pytest.raises(PreconditionError):
-            TwistWord.from_letters([0])
+            TwistWord([0])
 
-    def test_unreduced_rejected(self):
-        with pytest.raises(ValueError):
-            TwistWord((1, -1))
+    def test_unreduced_letters_reduced(self):
+        assert TwistWord((1, -1)) == TwistWord()
+        assert TwistWord((2, 1, -1, 3)).letters == (2, 3)
+
+    def test_cancelling_out_of_range_letters_rejected(self):
+        with pytest.raises(PreconditionError):
+            TwistWord((6, -6))

@@ -52,7 +52,7 @@ NESTED_COMMUTATOR_CHARPOLY = (1, -2821109907460, 5642219814918, -2821109907460, 
 
 
 def random_twist(rng, max_len):
-    return TwistWord.from_letters(
+    return TwistWord(
         oracles.random_letters(rng, 5, rng.randint(0, max_len)))
 
 
@@ -166,7 +166,7 @@ def max_entry_bits(matrix):
 
 class TestRho:
     def test_empty_word(self):
-        assert rho(TwistWord.identity()).is_identity
+        assert rho(TwistWord()).is_identity
 
     # (d1 d2^-1)^k has entries of about 1.39 k bits: 13,885 at k = 10000,
     # 14,579 at k = 10500.
@@ -256,7 +256,7 @@ class TestRho:
 
     def test_involution_is_minus_identity_mod_3(self):
         assert rho_mod(INVOLUTION, 3).is_neg_identity
-        assert not rho_mod(TwistWord.identity(), 3).is_neg_identity
+        assert not rho_mod(TwistWord(), 3).is_neg_identity
 
     def test_mod_reduction_is_never_refused(self):
         # Exact at 13,885 bits; beyond the bound only the reduced action

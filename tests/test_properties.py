@@ -133,6 +133,6 @@ def test_screened_and_exact_genus2_triviality_agree(letters):
     check = json.loads(out)["trivial"]
     _, out = _run(["certify", "--surface", "genus2", "--word", text, "--json"])
     certified = json.loads(out)["checks"]["trivial"]
-    word = TwistWord.from_letters(letters)
+    word = TwistWord(letters)
     assert check == certified == (rho(word).is_identity
                                   and is_trivial_sphere(project(word)))
