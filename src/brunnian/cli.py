@@ -6,15 +6,22 @@ letter cap, the word from ``--word`` or stripped stdin, the parse.
 ``example`` builds its word and takes none.
 
 Exit codes: 0 the command ran to a conclusion (any status, including an
-undetermined certificate), 1 parse or usage error, 2 precondition
+undetermined certificate), 1 parse, usage or output error, 2 precondition
 violation, 3 letter budget exceeded.  Budget aborts inside ``certify``
 are recorded in-band in the certificate and still exit with 3.
+
+``main(argv)`` returns the exit code and may be called repeatedly in one
+process; it builds the argument parser on first use and reuses it, and
+importing the module builds nothing.  ``entry`` is the console script:
+it also turns a failed write to stdout into an ``output error``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from functools import cache
 
 from . import braid, genus2, homology
 from .budget import DEFAULT_LETTER_CAP, LetterBudget, unless_aborted
@@ -33,6 +40,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# One parser serves every call: parse_args leaves it unchanged and returns
+# a fresh Namespace, so no option's value carries over to the next call.
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="brunnian",
                      description="Exact Brunnian membership and pseudo-Anosov "
@@ -75,7 +85,13 @@ def _read(args, default: str | None = None):
     if default is not None and surface[0] != default:
         raise PreconditionError(f"{args.command} takes a genus-2 word")
     budget = _budget(args)
-    text = args.word if args.word is not None else sys.stdin.read().strip()
+    text = args.word
+    if text is None:
+        try:
+            text = sys.stdin.read().strip()
+        except UnicodeDecodeError as exc:
+            raise WordSyntaxError(
+                f"stdin is not valid {exc.encoding}: {exc.reason}") from None
     return surface, budget, text, parse_word(text, surface, budget)
 
 
@@ -233,7 +249,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:  # a full disk or a closed pipe on stdout
+        print(f"output error: {exc}", file=sys.stderr)
+        # The flush at interpreter exit would fail again on the same fd.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

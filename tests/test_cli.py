@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from brunnian import cli
 from brunnian.certificate import _decimal
 from brunnian.cli import main
 from brunnian.errors import PreconditionError
@@ -505,3 +506,92 @@ class TestDeterminism:
                     walk(value)
 
         walk(doc)
+
+
+BRAID_RELATION = "s1 s2 s1 s2^-1 s1^-1 s2^-1"
+
+# Commands whose options differ, interleaved so that a default left behind
+# by one call (``--mod``, ``--max-letters``) would show in the next.
+INTERLEAVED = [
+    ("homology", "--mod", "5", "--word", "d1 d2"),
+    ("homology", "--word", "d1 d2"),
+    ("check", "--surface", "sphere:5", "--word", BRAID_RELATION,
+     "--max-letters", "3"),
+    ("check", "--surface", "sphere:5", "--word", BRAID_RELATION, "--json"),
+    ("check", "--surface", "sphere:5", "--mod", "5", "--word", "s1"),
+    ("check", "--word", "s1"),
+    ("example", "--n", "6"),
+    ("homology", "--mod", "5", "--word", "d1 d2", "--json"),
+    ("brunnian", "--surface", "sphere:6", "--word", "s1^6", "--json"),
+    ("example", "--n", "5", "--json"),
+]
+
+
+class TestCachedParser:
+    def test_interleaved_commands_match_a_fresh_parser(self, capsys,
+                                                       monkeypatch):
+        cached = [run(capsys, *argv) for argv in INTERLEAVED]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in INTERLEAVED]
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 0, 3, 0, 1, 1, 0, 0, 0, 0]
+
+    def test_parser_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for argv in INTERLEAVED * 3:
+            run(capsys, *argv)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3 * len(INTERLEAVED) - 1)
+
+    def test_import_builds_no_parser(self):
+        probe = ("import brunnian.cli as cli; "
+                 "print(cli._build_parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+def run_bytes(*argv, env=(), **streams):
+    """The console entry point in a fresh interpreter, with byte streams;
+    ``env`` adds variables and ``streams`` sets stdin and stdout."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "brunnian.cli", *argv],
+        env={**os.environ, "PYTHONPATH": SRC, **dict(env)},
+        stderr=subprocess.PIPE, **streams)
+
+
+class TestStreamFailures:
+    """A stream the CLI cannot use ends with an exit code, not a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv", [
+        ("example", "--n", "18", "--json"),         # fails inside main
+        ("check", "--surface", "sphere:5", "--word", "s1"),  # fails at flush
+    ], ids=["large", "small"])
+    def test_full_disk(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = run_bytes(*argv, stdout=full)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err.decode() == "output error: [Errno 28] No space left on device\n"
+
+    def test_broken_pipe(self):
+        # About 1.3 MB of output, far more than a pipe buffer holds, so the
+        # writer meets the closed read end.
+        proc = run_bytes("example", "--n", "18", stdout=subprocess.PIPE)
+        assert proc.stdout.read(20) == b"s1^6 s2^6 s3^6 s4^6 "
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err.decode() == "output error: [Errno 32] Broken pipe\n"
+
+    def test_undecodable_stdin(self):
+        proc = run_bytes("check", "--surface", "sphere:5",
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                         env={"PYTHONIOENCODING": "utf-8:strict"})
+        out, err = proc.communicate(b"\xff s1", timeout=60)
+        assert (proc.returncode, out) == (1, b"")
+        assert err.decode() == ("parse error: stdin is not valid utf-8: "
+                                "invalid start byte\n")
