@@ -30,7 +30,6 @@ from .homology import (
     charpoly,
     rho,
     rho_mod,
-    transvection,
 )
 from .parsing import parse_surface, parse_word
 
@@ -67,5 +66,4 @@ __all__ = [
     "render_letters",
     "rho",
     "rho_mod",
-    "transvection",
 ]

@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
 def _read(args, default: str | None = None):
     """The command's surface, budget, word text and parsed word, read in
     that order; a ``default`` surface is the only one the command takes."""
-    name = args.surface or default
+    name = default if args.surface is None else args.surface
     if name is None:
         raise _UsageError(f"{args.command} requires --surface")
     surface = parse_surface(name)
@@ -198,7 +198,7 @@ def _cmd_example(args) -> int:
     if args.word is not None:
         raise _UsageError("example takes no --word; it builds its own")
     n = args.n
-    surface = parse_surface(args.surface) if args.surface else None
+    surface = None if args.surface is None else parse_surface(args.surface)
     if n < 5:
         raise PreconditionError("the example family starts at five strands")
     surface = surface or sphere_surface(n)

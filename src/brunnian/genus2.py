@@ -35,7 +35,7 @@ from .budget import LetterBudget, unless_aborted
 from .certificate import Certificate, _decimal
 from .freegroup import Letters, Word, commutator  # noqa: F401 (public name)
 
-GENERATOR_COUNT = 5
+GENERATOR_COUNT = len(homology.CHAIN_CLASSES)  # one chain class per twist d1..d5
 
 
 @dataclass(frozen=True)

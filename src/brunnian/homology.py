@@ -69,11 +69,6 @@ def _matrix(rows) -> Rows:
     return rows  # type: ignore[return-value]
 
 
-def intersection(x: Sequence[int], y: Sequence[int]) -> int:
-    """Symplectic pairing <x, y> = x^T J y."""
-    return sum(x[i] * J[i][j] * y[j] for i in range(4) for j in range(4))
-
-
 def _dual(c: Sequence[int]) -> tuple[int, ...]:
     """J c, the coefficients of the functional x -> <x, c>."""
     return tuple(sum(J[j][k] * c[k] for k in range(4)) for j in range(4))
@@ -101,15 +96,6 @@ class SymplecticMatrix:
     def __post_init__(self):
         object.__setattr__(self, "rows", _matrix(self.rows))
 
-    @classmethod
-    def identity(cls) -> "SymplecticMatrix":
-        return cls(_IDENTITY_ROWS)
-
-    def mul(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return SymplecticMatrix(_mat_mul(self.rows, other.rows))
-
-    __matmul__ = mul
-
     def is_symplectic(self) -> bool:
         """Exact check of M^T J M == J."""
         mt = tuple(tuple(self.rows[j][i] for j in range(4)) for i in range(4))
@@ -122,10 +108,6 @@ class SymplecticMatrix:
     @property
     def is_neg_identity(self) -> bool:
         return self.rows == _NEG_IDENTITY_ROWS
-
-    def apply(self, v: Sequence[int]) -> Row:
-        return tuple(sum(self.rows[i][j] * v[j] for j in range(4))
-                     for i in range(4))  # type: ignore[return-value]
 
     def mod(self, p: int) -> "ModularMatrix":
         return ModularMatrix(p, self.rows)
@@ -161,31 +143,13 @@ class ModularMatrix:
         return ModularMatrix(q, self.rows)
 
 
-def transvection(c: Sequence[int], sign: int = TWIST_SIGN) -> SymplecticMatrix:
-    """Matrix of x -> x + sign * <x, c> c. Requires c nonzero."""
-    c = _integers(c)
-    if len(c) != 4:
-        raise PreconditionError("homology vectors have four coordinates")
-    if not any(c):
-        raise PreconditionError("transvection along the zero vector is undefined")
-    if sign not in (1, -1):
-        raise PreconditionError("sign must be +1 or -1")
-    jc = _dual(c)
-    m = SymplecticMatrix(tuple(
-        tuple((1 if i == j else 0) + sign * c[i] * jc[j] for j in range(4))
-        for i in range(4)))
-    if not m.is_symplectic():
-        raise AssertionError("a transvection must be symplectic")
-    return m
-
-
 _CHAIN_DUALS = tuple(_dual(c) for c in CHAIN_CLASSES)
 
 
 def _letters_of(word) -> tuple[int, ...]:
-    letters = tuple(getattr(word, "letters", word))
+    letters, bound = tuple(getattr(word, "letters", word)), len(CHAIN_CLASSES)
     for a in letters:
-        if not isinstance(a, int) or not 1 <= abs(a) <= 5:
+        if not isinstance(a, int) or not 1 <= abs(a) <= bound:
             raise PreconditionError(f"letter {a} is not a twist generator index")
     return letters
 
@@ -229,7 +193,7 @@ def rho(word) -> SymplecticMatrix:
     """Homology action of a twist word, multiplied in word order.
 
     Accepts a TwistWord (or any object with signed-integer ``letters``
-    in +-1..5) and is a homomorphism: rho(uv) == rho(u) @ rho(v).  A
+    in +-1..5) and is a homomorphism: rho(uv) is rho(u) times rho(v).  A
     word whose entries pass _MAX_DECIMAL_BITS bits on the way is refused
     with PreconditionError (see _act); rho_mod never refuses.
     """
@@ -315,12 +279,6 @@ class CharPolynomial:
     @property
     def is_palindromic(self) -> bool:
         return self.coefficients == self.coefficients[::-1]
-
-    def evaluate(self, t: int) -> int:
-        acc = 0
-        for c in self.coefficients:
-            acc = acc * t + c
-        return acc
 
 
 def charpoly(m: SymplecticMatrix) -> CharPolynomial:

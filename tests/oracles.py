@@ -4,10 +4,10 @@ Nothing here shares an algorithm with the package: free reduction is a
 rescan-until-fixpoint loop instead of a stack, automorphisms are
 composed by plain substitution followed by that reduction, triviality
 on the disk side is decided by direct comparison against a conjugation
-rather than by conjugator recovery, and determinants come from the
-24-term Leibniz sum.  The package is imported only for ``BraidWord``,
-to generate words.  Disagreement between these and the package is a
-test failure, not a tie to be broken.
+rather than by conjugator recovery, determinants come from the 24-term
+Leibniz sum and transvections from the intersection form.  The package
+is imported only for ``BraidWord``, to generate words.  Disagreement
+between these and the package is a test failure, not a tie to be broken.
 
 An automorphism of the free group of rank r is a tuple of r reduced
 words, entry i - 1 being the image of x_i.  The engine's tables have
@@ -153,6 +153,31 @@ def disk_model_trivial(k, letters):
 # ---------------------------------------------------------------------------
 # exact linear algebra references
 # ---------------------------------------------------------------------------
+
+J = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+UNIT = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def pairing(x, y):
+    """The intersection number <x, y> = x^T J y in the basis (a1, b1, a2, b2)."""
+    return sum(x[i] * J[i][j] * y[j] for i in range(4) for j in range(4))
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+                 for i in range(4))
+
+
+def transvection(c, sign):
+    """Rows of x -> x + sign * <x, c> c, column j the image of UNIT[j]."""
+    return tuple(tuple(UNIT[i][j] + sign * pairing(UNIT[j], c) * c[i]
+                       for j in range(4)) for i in range(4))
+
+
+def poly_value(coefficients, t):
+    """The polynomial with leading-first coefficients, summed at t."""
+    return sum(c * t ** (len(coefficients) - 1 - i) for i, c in enumerate(coefficients))
+
 
 def _perm_sign(perm):
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))

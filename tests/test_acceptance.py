@@ -31,7 +31,6 @@ from brunnian import (
 from brunnian.braid import _action_table
 from brunnian.cli import main
 from brunnian.genus2 import commutator
-from brunnian.homology import J as FORM
 
 import oracles
 
@@ -39,15 +38,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def preserves_form(rows):
-    """M^T J M == J, re-derived with independent arithmetic."""
-    mt = [[rows[j][i] for j in range(4)] for i in range(4)]
-
-    def mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)]
-                for i in range(4)]
-
-    return mul(mul(mt, [list(r) for r in FORM]), [list(r) for r in rows]) == \
-        [list(r) for r in FORM]
+    """M^T J M == J, re-derived with the oracles' arithmetic."""
+    transpose = tuple(zip(*rows))
+    return oracles.mat_mul(oracles.mat_mul(transpose, oracles.J), rows) == oracles.J
 
 RELATION = "s1 s2 s3 s4 s5 s5 s4 s3 s2 s1"
 FULL_TWIST = "(s1 s2 s3 s4 s5)^6"

@@ -412,6 +412,13 @@ class TestErrorsAndInput:
          "parse error: expected 'int', found end of input (at position 3)"),
         (("example", "--n", "6", "--word", "s1"), 1,
          "usage error: example takes no --word; it builds its own"),
+        # An empty surface is refused, not read as the default.
+        *(((command, "--surface", "", *extra), 1,
+           "parse error: unknown surface ''; use sphere:N or genus2")
+          for command, extra in [
+              ("check", ("--max-letters", "0")), ("brunnian", ()),
+              ("certify", ()), ("project", ("--word", "d1")),
+              ("homology", ("--word", "d1")), ("example", ("--n", "6"))]),
     ])
     def test_first_refusal_wins(self, capsys, monkeypatch, argv, expected,
                                 message):

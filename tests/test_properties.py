@@ -30,7 +30,7 @@ COMMANDS = st.sampled_from(["check", "brunnian", "project", "homology",
                             "certify", "example"])
 SURFACES = st.sampled_from([None, "sphere:4", "sphere:5", "sphere:6",
                             "sphere:7", "genus2", "sphere:x", "torus",
-                            "sphere:1001"])
+                            "sphere:1001", ""])
 TEXT = st.text(alphabet="sd0123456789^-[](), ²", max_size=60)
 
 
