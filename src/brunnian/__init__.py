@@ -12,7 +12,7 @@ from .braid import (
     is_trivial_sphere,
 )
 from .budget import DEFAULT_LETTER_CAP, LetterBudget
-from .certificate import Certificate, canonical_json, render_letters
+from .certificate import canonical_json, render_letters
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
 from .genus2 import (
     TwistWord,
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BraidWord",
     "BrunnianReport",
-    "Certificate",
     "CharPolynomial",
     "DEFAULT_LETTER_CAP",
     "LetterBudget",

@@ -43,7 +43,7 @@ from typing import Iterable, Optional
 
 from . import homology
 from .budget import LetterBudget, unless_aborted
-from .certificate import Certificate
+from .certificate import document
 from .errors import PreconditionError
 from .freegroup import (
     Letters,
@@ -298,9 +298,9 @@ def brunnian_check(word: BraidWord,
 
 def certify_pa_sphere(word: BraidWord,
                       budget: LetterBudget | None = None,
-                      input_text: str | None = None) -> Certificate:
-    """Certificate for a sphere word: every nontrivial Brunnian mapping
-    class of the sphere with n >= 5 punctures is pseudo-Anosov.
+                      input_text: str | None = None) -> dict:
+    """Certificate document for a sphere word: every nontrivial Brunnian
+    mapping class of the sphere with n >= 5 punctures is pseudo-Anosov.
 
     Verdicts that the budget prevented stay null and the conclusion is
     undetermined; aborts are recorded in-band, never raised.
@@ -309,8 +309,8 @@ def certify_pa_sphere(word: BraidWord,
         raise PreconditionError("certification needs at least five punctures")
     if budget is None:
         budget = LetterBudget()
-    return Certificate.build(("sphere", word.n), word,
-                             brunnian_check(word, budget), budget, input_text)
+    return document(("sphere", word.n), word, brunnian_check(word, budget),
+                    budget, input_text)
 
 
 def brunnian_example(n: int) -> BraidWord:

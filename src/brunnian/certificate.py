@@ -1,21 +1,21 @@
-"""Certificate records and canonical JSON emission.
+"""Certificate documents and canonical JSON emission.
 
-A certificate is the machine-checkable outcome of a certification run:
-the normalized word, every check that was evaluated (null where a
-letter-budget abort prevented a verdict), the conclusion with its legal
-basis, and the resource accounting.  The conclusion is a function of the
-surface and the checks alone (:func:`conclude`), so a certificate is
-checked by recomputing it.  Serialisation is canonical: fixed
-key order, ASCII only, no floats, and integers that may exceed 64 bits
-(matrix entries, polynomial coefficients) rendered as decimal strings.
-Identical inputs therefore produce byte-identical documents on any
-platform.
+A certificate is the ``brunnian-cert/1`` document that :func:`document`
+assembles, the only code that does: the normalized word, every check
+that was evaluated (null where a letter-budget abort prevented a
+verdict), the conclusion with its legal basis, and the resource
+accounting.  The conclusion is a function of the surface and the checks
+alone (:func:`conclude`), picked once per document, so a certificate is
+checked by recomputing it from its checks.  Serialisation is canonical:
+fixed key order, ASCII only, no floats, and integers that may exceed 64
+bits (matrix entries, polynomial coefficients) rendered as decimal
+strings.  Identical inputs therefore produce byte-identical documents on
+any platform.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .errors import PreconditionError
@@ -107,81 +107,42 @@ def render_letters(prefix: str, letters: Sequence[int]) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Structured verdict for one word on one surface."""
+def document(surface: tuple, word, report, budget,
+             input_text: str | None = None, **extra_checks) -> dict:
+    """The ``brunnian-cert/1`` document of ``word`` on ``surface``.
 
-    surface: tuple  # ("sphere", n) or ("genus2",)
-    input_text: str
-    word_text: str
-    length: int
-    permutation: tuple[int, ...]
-    checks: Mapping[str, Any]
-    status: str
-    justification: str
-    letters_used: int
-    letter_cap: int
-    aborted: bool
-
-    def __post_init__(self):
-        self.validate()
-
-    @classmethod
-    def build(cls, surface: tuple, word, report, budget,
-              input_text: str | None = None, **extra_checks) -> "Certificate":
-        """Certificate of ``word`` from its Brunnian report and extra checks.
-
-        ``report`` carries the puncture permutation, the strand verdicts,
-        the word's own triviality and, on genus 2, the mod-3 identity
-        check; resources are read off ``budget`` and the conclusion is
-        :func:`conclude`'s.
-        """
-        checks = {
-            "pure": report.permutation.is_identity(),
-            "trivial": report.trivial,
-            "brunnian_per_strand": list(report.per_strand),
-            "brunnian": report.brunnian,
-        }
-        if report.rho_mod3_identity is not None:
-            checks["rho_mod3_identity"] = report.rho_mod3_identity
-        checks.update(extra_checks)
-        status, justification = conclude(surface, checks)
-        word_text = render_word(surface, word.letters)
-        return cls(surface, word_text if input_text is None else input_text,
-                   word_text, len(word.letters), report.permutation.images, checks,
-                   status, justification, budget.used, budget.cap,
-                   budget.exhausted)
-
-    def validate(self) -> None:
-        if self.surface[0] == "sphere" and self.surface[1] < 5:
-            raise ValueError("sphere certificates need sphere:n, n >= 5")
-        if (self.status, self.justification) != conclude(self.surface, self.checks):
-            raise ValueError(f"conclusion {self.status}/{self.justification} "
-                             "does not follow from the checks")
-
-    def to_document(self) -> dict:
-        surface = {"kind": self.surface[0]}
-        if self.surface[0] == "sphere":
-            surface["n"] = self.surface[1]
-        return {
-            "schema": CERT_SCHEMA,
-            "surface": surface,
-            "input": self.input_text,
-            "word": self.word_text,
-            "length": self.length,
-            "permutation": list(self.permutation),
-            "checks": dict(self.checks),
-            "conclusion": {"status": self.status, "justification": self.justification},
-            "resources": {
-                "letters_used": self.letters_used,
-                "letter_cap": self.letter_cap,
-                "aborted": self.aborted,
-            },
-            "conventions": dict(CONVENTIONS),
-        }
-
-    def summary(self) -> str:
-        return f"status={self.status} justification={self.justification}"
+    ``report`` carries the puncture permutation, the strand verdicts,
+    the word's own triviality and, on genus 2, the mod-3 identity
+    check; ``extra_checks`` follow them in the order given.  Resources
+    are read off ``budget``, and the conclusion is :func:`conclude`'s.
+    """
+    checks = {
+        "pure": report.permutation.is_identity(),
+        "trivial": report.trivial,
+        "brunnian_per_strand": list(report.per_strand),
+        "brunnian": report.brunnian,
+    }
+    if report.rho_mod3_identity is not None:
+        checks["rho_mod3_identity"] = report.rho_mod3_identity
+    checks.update(extra_checks)
+    status, justification = conclude(surface, checks)
+    word_text = render_word(surface, word.letters)
+    return {
+        "schema": CERT_SCHEMA,
+        "surface": dict(zip(("kind", "n"), surface)),  # no "n" on genus 2
+        "input": word_text if input_text is None else input_text,
+        "word": word_text,
+        "length": len(word.letters),
+        "permutation": list(report.permutation.images),
+        "checks": checks,
+        "conclusion": {"status": status, "justification": justification},
+        "resources": {
+            "letters_used": budget.used,
+            "letter_cap": budget.cap,
+            "aborted": budget.exhausted,
+        },
+        "conventions": dict(CONVENTIONS),
+    }
 
 
 def _check_no_floats(obj) -> None:

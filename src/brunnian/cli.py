@@ -10,10 +10,11 @@ undetermined certificate), 1 parse, usage or output error, 2 precondition
 violation, 3 letter budget exceeded.  Budget aborts inside ``certify``
 are recorded in-band in the certificate and still exit with 3.
 
-``main(argv)`` returns the exit code and may be called repeatedly in one
-process; it builds the argument parser on first use and reuses it, and
-importing the module builds nothing.  ``entry`` is the console script:
-it also turns a failed write to stdout into an ``output error``.
+``main(argv)`` returns the exit code, 0 after ``--help``, and may be
+called repeatedly in one process; it builds the argument parser on first
+use and reuses it, and importing the module builds nothing.  ``entry``
+is the console script: it also turns a failed write to stdout into an
+``output error``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):  # argparse's exit, as main's return code
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; usage errors are 1
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # only --help calls it, with no message
+        raise _Exit(status)
 
 
 # One parser serves every call: parse_args leaves it unchanged and returns
@@ -187,11 +195,13 @@ def _cmd_homology(args) -> int:
 def _cmd_certify(args) -> int:
     surface, budget, text, word = _read(args)
     if surface[0] == "sphere":
-        cert = braid.certify_pa_sphere(word, budget, input_text=text)
+        doc = braid.certify_pa_sphere(word, budget, input_text=text)
     else:
-        cert = genus2.certify_pa_genus2(word, budget, input_text=text)
-    _emit(args, cert.to_document(), cert.summary())
-    return 3 if cert.aborted else 0
+        doc = genus2.certify_pa_genus2(word, budget, input_text=text)
+    conclusion = doc["conclusion"]
+    _emit(args, doc, f"status={conclusion['status']} "
+                     f"justification={conclusion['justification']}")
+    return 3 if budget.exhausted else 0
 
 
 def _cmd_example(args) -> int:
@@ -234,6 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except _Exit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

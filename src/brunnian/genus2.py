@@ -32,7 +32,7 @@ from .braid import (
     is_trivial_sphere,
 )
 from .budget import LetterBudget, unless_aborted
-from .certificate import Certificate, _decimal
+from .certificate import _decimal, document
 from .freegroup import Letters, Word, commutator  # noqa: F401 (public name)
 
 GENERATOR_COUNT = len(homology.CHAIN_CLASSES)  # one chain class per twist d1..d5
@@ -121,8 +121,8 @@ def _membership(word: TwistWord, action: homology.ModularMatrix,
 
 def certify_pa_genus2(word: TwistWord,
                       budget: LetterBudget | None = None,
-                      input_text: str | None = None) -> Certificate:
-    """Certificate for a genus-2 twist word.
+                      input_text: str | None = None) -> dict:
+    """Certificate document for a genus-2 twist word.
 
     Nontrivial members of the Brunnian-and-mod-3-kernel subgroup are
     pseudo-Anosov; failing that, an irreducible non-cyclotomic
@@ -132,11 +132,14 @@ def certify_pa_genus2(word: TwistWord,
     """
     if budget is None:
         budget = LetterBudget()
-    action = homology.rho(word)  # printed, so exact; refused before any engine work
-    report = _membership(word, action.mod(homology.SCREEN_MODULUS), budget)
+    # Printed, so exact; an entry or coefficient too large to print is
+    # refused here, before any engine work.
+    action = homology.rho(word)
     poly = homology.charpoly(action)
-    return Certificate.build(
-        ("genus2",), word, report, budget, input_text,
-        rho_integral=[[_decimal(x) for x in row] for row in action.rows],
-        charpoly=[_decimal(c) for c in poly.coefficients],
-        casson_bleiler=homology.casson_bleiler(poly))
+    printed = {
+        "rho_integral": [[_decimal(x) for x in row] for row in action.rows],
+        "charpoly": [_decimal(c) for c in poly.coefficients],
+        "casson_bleiler": homology.casson_bleiler(poly),
+    }
+    report = _membership(word, action.mod(homology.SCREEN_MODULUS), budget)
+    return document(("genus2",), word, report, budget, input_text, **printed)

@@ -558,6 +558,17 @@ class TestCachedParser:
                               env={**os.environ, "PYTHONPATH": SRC})
         assert (done.returncode, done.stdout) == (0, "0\n")
 
+    @pytest.mark.parametrize("argv, usage", [
+        (("--help",), "usage: brunnian [-h]"),
+        (("check", "--help"), "usage: brunnian check [-h]"),
+    ], ids=["main", "check"])
+    def test_help_returns_zero_and_main_still_runs(self, capsys, argv, usage):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
+        assert run(capsys, "check", "--surface", "sphere:6",
+                   "--word", RELATION) == (0, "trivial\n", "")
+
 
 def run_bytes(*argv, env=(), **streams):
     """The console entry point in a fresh interpreter, with byte streams;

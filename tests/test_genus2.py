@@ -154,49 +154,49 @@ class TestMembership:
 class TestCertifyGenus2:
     def test_nested_commutator_certificate(self):
         cert = certify_pa_genus2(nested_commutator())
-        assert cert.status == "pseudo_anosov"
-        assert cert.justification == "theorem-1.2"
-        assert cert.aborted is False
-        assert cert.checks["rho_mod3_identity"] is True
-        assert cert.checks["brunnian"] is True
-        assert cert.checks["trivial"] is False
-        assert cert.checks["casson_bleiler"] == "inconclusive"
+        assert cert["conclusion"]["status"] == "pseudo_anosov"
+        assert cert["conclusion"]["justification"] == "theorem-1.2"
+        assert cert["resources"]["aborted"] is False
+        assert cert["checks"]["rho_mod3_identity"] is True
+        assert cert["checks"]["brunnian"] is True
+        assert cert["checks"]["trivial"] is False
+        assert cert["checks"]["casson_bleiler"] == "inconclusive"
 
     def test_involution_certificate_undetermined(self):
         cert = certify_pa_genus2(involution_word())
-        assert cert.status == "undetermined"
-        assert cert.justification == "none"
-        assert cert.checks["rho_mod3_identity"] is False
-        assert cert.checks["charpoly"] == ["1", "4", "6", "4", "1"]
+        assert cert["conclusion"]["status"] == "undetermined"
+        assert cert["conclusion"]["justification"] == "none"
+        assert cert["checks"]["rho_mod3_identity"] is False
+        assert cert["checks"]["charpoly"] == ["1", "4", "6", "4", "1"]
 
     def test_single_twist_undetermined(self):
         cert = certify_pa_genus2(TwistWord((1,)))
-        assert cert.status == "undetermined"
-        assert cert.checks["brunnian"] is False
-        assert cert.checks["casson_bleiler"] == "inconclusive"
+        assert cert["conclusion"]["status"] == "undetermined"
+        assert cert["checks"]["brunnian"] is False
+        assert cert["checks"]["casson_bleiler"] == "inconclusive"
 
     def test_empty_word_trivial(self):
         cert = certify_pa_genus2(TwistWord())
-        assert cert.status == "trivial"
+        assert cert["conclusion"]["status"] == "trivial"
 
     def test_charpoly_fallback_certifies_non_brunnian_word(self):
         cert = certify_pa_genus2(TwistWord((1, -2, 3, -4)))
-        assert cert.status == "pseudo_anosov"
-        assert cert.justification == "casson-bleiler"
-        assert cert.checks["brunnian"] is False
-        assert cert.checks["charpoly"] == ["1", "-7", "13", "-7", "1"]
+        assert cert["conclusion"]["status"] == "pseudo_anosov"
+        assert cert["conclusion"]["justification"] == "casson-bleiler"
+        assert cert["checks"]["brunnian"] is False
+        assert cert["checks"]["charpoly"] == ["1", "-7", "13", "-7", "1"]
 
     def test_budget_abort_recorded_in_band(self):
         word = commutator(involution_word(), TwistWord((1, 2, 3)))
         cert = certify_pa_genus2(word, LetterBudget(50))
-        assert cert.aborted is True
-        assert cert.status == "undetermined"
-        assert cert.checks["trivial"] is None
+        assert cert["resources"]["aborted"] is True
+        assert cert["conclusion"]["status"] == "undetermined"
+        assert cert["checks"]["trivial"] is None
 
     def test_theorem_12_precedence_over_charpoly(self):
         # Membership decides first; the fallback only fires when it fails.
         cert = certify_pa_genus2(nested_commutator())
-        assert cert.justification == "theorem-1.2"
+        assert cert["conclusion"]["justification"] == "theorem-1.2"
 
 
 class TestValidation:

@@ -6,7 +6,9 @@
   homology pass, and runs the free-group engine on the projection only
   when that action is the identity.  Verdicts read the action modulo
   ``homology.SCREEN_MODULUS``; the exact integral action is computed
-  only by ``certify``, which prints it.
+  only by ``certify``, which prints it, and before any engine work, so
+  a number too large to print is refused without running the engine.
+* ``certificate.conclude`` runs once per ``certify`` call.
 * The six-puncture homology stage is internal: no public function
   takes a precomputed homology action.
 * A word or strand removal that collapses to the empty word is decided
@@ -28,8 +30,11 @@ from pathlib import Path
 import pytest
 
 import brunnian
-from brunnian import braid, homology, involution_word, membership_theorem12
+from brunnian import (LetterBudget, TwistWord, braid, certificate,
+                      certify_pa_genus2, homology, involution_word,
+                      membership_theorem12)
 from brunnian.cli import main
+from brunnian.errors import PreconditionError
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(brunnian.__file__).resolve().parent
@@ -42,6 +47,15 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _replace_everywhere(monkeypatch, original, wrapper):
+    """Bind ``wrapper`` wherever the package binds ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name == "brunnian" or name.startswith("brunnian."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
 
 
 @pytest.fixture
@@ -58,12 +72,7 @@ def rho_calls(monkeypatch):
         return count
 
     for original in (homology.rho, homology.rho_screen):
-        wrapper = counted(original)
-        for name, module in list(sys.modules.items()):
-            if name == "brunnian" or name.startswith("brunnian."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
+        _replace_everywhere(monkeypatch, original, counted(original))
     return calls
 
 
@@ -78,11 +87,7 @@ def action_table_sizes(monkeypatch):
         sizes.append(n)
         return original(n, letters, budget)
 
-    for name, module in list(sys.modules.items()):
-        if name == "brunnian" or name.startswith("brunnian."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, recorded)
+    _replace_everywhere(monkeypatch, original, recorded)
     return sizes
 
 
@@ -144,6 +149,38 @@ def test_one_homology_evaluation_per_genus2_command(rho_calls, command, word):
     assert code == 0
     # Only certify prints the action, so only certify computes it exactly.
     assert rho_calls == ["rho" if command == "certify" else "rho_screen"]
+
+
+def test_unprintable_coefficient_refused_before_any_engine_work(
+        action_table_sizes):
+    # Every entry of the action prints, but a coefficient of its
+    # characteristic polynomial has 16662 bits, above the 14000-bit limit.
+    budget = LetterBudget()
+    with pytest.raises(PreconditionError, match="16662 bits"):
+        certify_pa_genus2(TwistWord((1, -2, 4, -5) * 6000), budget)
+    assert action_table_sizes == []
+    assert budget.used == 0
+
+
+@pytest.mark.parametrize("surface, word", [
+    ("genus2", "[d1^6,[d2^6,[d3^6,[d4^6,d5^6]]]]"),
+    ("genus2", "d1 d2^-1 d3 d4^-1"),
+    ("sphere:6", "[s1^6,[s2^6,[s3^6,[s4^6,s5^6]]]]"),
+    ("sphere:5", "s1^6"),
+])
+def test_one_conclusion_per_certify(monkeypatch, surface, word):
+    calls = []
+    original = certificate.conclude
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    _replace_everywhere(monkeypatch, original, counted)
+    code, doc = _run_json(["certify", "--surface", surface, "--word", word])
+    assert code == 0
+    assert len(calls) == 1
+    assert list(calls[0][1].items()) == list(doc["checks"].items())
 
 
 def test_readme_library_example_runs():
