@@ -209,13 +209,13 @@ def _is_trivial_pure(word: BraidWord, budget: LetterBudget,
     """Triviality of a word whose permutation is known to be trivial.
 
     Runs collapse, homology and engine (see the module docstring);
-    ``lift`` is homology.rho_screen of the six-strand word's lift, when
-    the caller already holds it.
+    ``lift`` is the six-strand word's lift read modulo
+    homology.SCREEN_MODULUS, when the caller already holds it.
     """
     if not word.letters or word.n == 3:
         return True
     if word.n == 6:
-        lift = homology.rho_screen(word.letters) if lift is None else lift
+        lift = lift or homology.rho_mod(word.letters, homology.SCREEN_MODULUS)
         if not (lift.is_identity or lift.is_neg_identity):
             return False
     table = _action_table(word.n, word.letters, budget)

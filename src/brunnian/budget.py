@@ -17,9 +17,10 @@ of powers and commutators and the word the ``example`` command builds.
 
 from typing import Sequence
 
-from .errors import LetterBudgetExceeded
+from .errors import LetterBudgetExceeded, PreconditionError
 
 DEFAULT_LETTER_CAP = 10_000_000
+MAX_LETTER_CAP = 2 ** 63 - 1  # so the cap prints as a signed 64-bit integer
 
 
 class LetterBudget:
@@ -32,8 +33,9 @@ class LetterBudget:
     __slots__ = ("cap", "used", "exhausted")
 
     def __init__(self, cap: int = DEFAULT_LETTER_CAP):
-        if cap < 1:
-            raise ValueError("letter cap must be positive")
+        # type() rather than isinstance(): a bool is not a letter count.
+        if type(cap) is not int or not 1 <= cap <= MAX_LETTER_CAP:
+            raise PreconditionError("letter cap must be an int in 1..2^63 - 1")
         self.cap = cap
         self.used = 0
         self.exhausted = False

@@ -25,7 +25,7 @@ import sys
 from functools import cache
 
 from . import braid, genus2, homology
-from .budget import DEFAULT_LETTER_CAP, LetterBudget, unless_aborted
+from .budget import DEFAULT_LETTER_CAP, MAX_LETTER_CAP, LetterBudget, unless_aborted
 from .certificate import _decimal, canonical_json, render_word
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
 from .parsing import (integer, parse_surface, parse_word, sphere_surface,
@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     hom = sub.add_parser("homology", parents=[common],
                          help="homology action of a genus-2 word")
     hom.add_argument("--mod", type=integer, default=None,
-                     help="reduce the matrix modulo this prime")
+                     help="reduce the matrix modulo M, 2 <= M < 2^63")
     sub.add_parser("certify", parents=[common],
                    help="emit a certificate for the word")
     ex = sub.add_parser("example", parents=[common],
@@ -106,6 +106,8 @@ def _read(args, default: str | None = None):
 def _budget(args) -> LetterBudget:
     if args.max_letters < 1:
         raise _UsageError("--max-letters must be positive")
+    if args.max_letters > MAX_LETTER_CAP:
+        raise _UsageError("--max-letters must be at most 2^63 - 1")
     return LetterBudget(args.max_letters)
 
 
@@ -180,7 +182,7 @@ def _cmd_homology(args) -> int:
         entries = {"matrix": rows, "charpoly": [
             _decimal(c) for c in homology.charpoly(matrix).coefficients]}
     else:
-        # Entries are below the modulus, whose digits were already parsed.
+        # Entries are below the modulus, so they print as 64-bit integers.
         matrix = homology.rho_mod(word, args.mod)
         rows = [[str(x) for x in row] for row in matrix.rows]
         entries = {"matrix": [list(row) for row in matrix.rows]}

@@ -8,8 +8,8 @@ hyperelliptic involution, whose homology action is minus the identity.
 A twist word is therefore trivial exactly when its projection is
 trivial on the sphere and its integral homology action is the identity;
 the homology side separates the identity from the involution, modulo
-any odd modulus too, so verdicts read homology.rho_screen; certificates
-compute the exact action, which they print.
+any odd modulus too, so verdicts read rho_mod(word, SCREEN_MODULUS);
+certificates compute the exact action, which they print.
 
 The involution is represented by the standard palindromic word
 D1 D2 D3 D4 D5 D5 D4 D3 D2 D1.  The word itself is never trusted: both
@@ -86,8 +86,8 @@ def is_trivial_genus2(word: TwistWord,
     read first: it is cheap and already rules out the involution coset.
     """
     projection = project(word)
-    return _is_trivial(homology.rho_screen(word), projection,
-                       projection.permutation(),
+    return _is_trivial(homology.rho_mod(word, homology.SCREEN_MODULUS),
+                       projection, projection.permutation(),
                        LetterBudget() if budget is None else budget)
 
 
@@ -104,7 +104,7 @@ def membership_theorem12(word: TwistWord,
     is screened once; the exact engine runs on the projection only when
     it is the identity.
     """
-    return _membership(word, homology.rho_screen(word),
+    return _membership(word, homology.rho_mod(word, homology.SCREEN_MODULUS),
                        LetterBudget() if budget is None else budget)
 
 

@@ -113,18 +113,25 @@ class SymplecticMatrix:
         return ModularMatrix(p, self.rows)
 
 
+def _modulus(p) -> int:
+    """p as a modulus, refused outside 2..2^63 - 1: reduced entries stay
+    signed 64-bit integers, and a pass costs what the screen's does."""
+    (p,) = _integers((p,))
+    if not 2 <= p < 2 ** 63:
+        raise PreconditionError("a modulus must be in 2..2^63 - 1")
+    return p
+
+
 @dataclass(frozen=True)
 class ModularMatrix:
-    """4x4 integer matrix modulo p >= 2; the constructor reduces the
-    entries into [0, p)."""
+    """4x4 integer matrix modulo p in 2..2^63 - 1; the constructor
+    reduces the entries into [0, p)."""
 
     p: int
     rows: Rows
 
     def __post_init__(self):
-        (p,) = _integers((self.p,))
-        if p < 2:
-            raise PreconditionError(f"modulus {p} is below 2")
+        p = _modulus(self.p)
         object.__setattr__(self, "rows", tuple(
             tuple(x % p for x in row) for row in _matrix(self.rows)))
 
@@ -195,7 +202,7 @@ def rho(word) -> SymplecticMatrix:
     Accepts a TwistWord (or any object with signed-integer ``letters``
     in +-1..5) and is a homomorphism: rho(uv) is rho(u) times rho(v).  A
     word whose entries pass _MAX_DECIMAL_BITS bits on the way is refused
-    with PreconditionError (see _act); rho_mod never refuses.
+    with PreconditionError (see _act); rho_mod never refuses a word.
     """
     result = SymplecticMatrix(_act(_letters_of(word), None))
     if not result.is_symplectic():
@@ -203,57 +210,19 @@ def rho(word) -> SymplecticMatrix:
     return result
 
 
-# Miller-Rabin with the first thirteen prime bases is exact below this
-# bound, the least strong pseudoprime to all of them (Sorenson-Webster).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+def rho_mod(word, p: int) -> ModularMatrix:
+    """rho modulo p in 2..2^63 - 1, checked before any letter is applied.
 
-
-def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; p from _MR_EXACT_BELOW up is refused, not guessed."""
-    if p >= _MR_EXACT_BELOW:
-        raise PreconditionError(
-            f"primality of moduli from {_MR_EXACT_BELOW} up is not decided")
-    if p < 2:
-        return False
-    for b in _MR_BASES:
-        if p % b == 0:
-            return p == b
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def rho_mod(word, p: int = 3) -> ModularMatrix:
-    """rho with entries reduced modulo a prime p (default 3).
-
-    The rows are reduced as they are computed, so no word is refused
-    for the size of its entries.
+    The rows are reduced as they are computed, so no word is refused for size.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
+    p = _modulus(p)
     return ModularMatrix(p, _act(_letters_of(word), p))
 
 
 # Modulo 3 this is Theorem 1.2's kernel test; modulo the prime 2^61 - 1 it
 # misses rho != +-I only when 2^61 - 1 divides every entry of rho -+ I.
+# rho_mod(word, SCREEN_MODULUS) is the input to every verdict.
 SCREEN_MODULUS = 3 * (2 ** 61 - 1)
-
-
-def rho_screen(word) -> ModularMatrix:
-    """rho modulo SCREEN_MODULUS, never refused: the input to every verdict."""
-    return ModularMatrix(SCREEN_MODULUS, _act(_letters_of(word), SCREEN_MODULUS))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,21 @@ class TestSphereAction:
             _action_table(5, brunnian_example(5).letters, LetterBudget(50_000))
 
 
+class TestLetterCap:
+    # Refused when the budget is built: an infinite cap would switch the
+    # budget off, and a bool or float cap would reach the certificate.
+    @pytest.mark.parametrize("cap", [0, -5, 2 ** 63, 10 ** 30, True, False,
+                                     1.5, 1e7, float("inf"), "5", None])
+    def test_anything_but_an_int_in_range_is_refused(self, cap):
+        with pytest.raises(PreconditionError):
+            LetterBudget(cap)
+
+    @pytest.mark.parametrize("cap", [1, 2 ** 63 - 1])
+    def test_the_ends_of_the_range_are_accepted(self, cap):
+        budget = LetterBudget(cap)
+        assert (budget.cap, budget.used, budget.exhausted) == (cap, 0, False)
+
+
 class ChargeLog:
     """A budget without a cap that records every charge."""
 

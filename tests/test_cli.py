@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from brunnian import cli
+from brunnian import TwistWord, cli, rho
 from brunnian.certificate import _decimal
 from brunnian.cli import main
 from brunnian.errors import PreconditionError
@@ -130,15 +130,21 @@ class TestProjectAndHomology:
         assert doc["matrix"] == [[1 if i == j else 0 for j in range(4)]
                                  for i in range(4)]
 
-    def test_homology_rejects_composite_modulus(self, capsys):
-        code, _, err = run(capsys, "homology", "--mod", "6", "--word", "d1")
-        assert code == 2
+    def test_homology_composite_modulus(self, capsys):
+        code, doc, _ = run_json(capsys, "homology", "--mod", "6",
+                                "--word", "d1")
+        assert code == 0
+        assert doc["mod"] == 6
+        assert doc["matrix"] == [list(row) for row in rho(TwistWord((1,))).mod(6).rows]
 
     @pytest.mark.parametrize("modulus, code", [
         ("1000000000000000003", 0),           # prime
-        ("1000000016000000063", 2),           # 1000000007 * 1000000009
-        ("3317044064679887385961981", 2),     # beyond the exact range
-    ])
+        ("1000000016000000063", 0),           # 1000000007 * 1000000009
+        (str(2 ** 63 - 1), 0),                # the largest modulus
+        (str(2 ** 63), 2),
+        ("3317044064679887385961981", 2),     # a prime above 2^63
+        ("9" * 4300, 2),                      # the most digits that parse
+    ], ids=lambda v: f"{len(v)}-digits" if len(str(v)) > 30 else None)
     def test_huge_modulus_decided_quickly(self, modulus, code):
         done = subprocess.run(
             [sys.executable, "-m", "brunnian.cli", "homology", "--word", "d1",
@@ -393,6 +399,20 @@ class TestErrorsAndInput:
         code, _, err = run(capsys, "check", "--surface", "sphere:6",
                            "--word", "s1", "--max-letters", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("cap", [str(2 ** 63), "1" + "0" * 30])
+    def test_max_letters_above_the_range(self, capsys, cap):
+        # letter_cap prints as a JSON integer, so it stays below 2^63.
+        code, out, err = run(capsys, "check", "--surface", "sphere:6",
+                             "--word", "s1", "--max-letters", cap, "--json")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --max-letters must be at most 2^63 - 1\n"
+
+    def test_max_letters_at_the_top_of_the_range(self, capsys):
+        code, doc, _ = run_json(capsys, "check", "--surface", "sphere:6",
+                                "--word", RELATION,
+                                "--max-letters", str(2 ** 63 - 1))
+        assert (code, doc["trivial"], doc["letter_cap"]) == (0, True, 2 ** 63 - 1)
 
     @pytest.mark.parametrize("argv, expected, message", [
         (("check", "--max-letters", "0"), 1,

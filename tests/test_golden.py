@@ -7,7 +7,9 @@ flagship at a 30000-letter cap (so the accounting after a budget abort
 is pinned), full twists, powers of the genus-2 chain and of the
 hyperelliptic involution, and seeded random pure sphere words and
 genus-2 words.  Any change to a certificate, a verdict or
-``letters_used`` shows up here as a byte difference.
+``letters_used`` shows up here as a byte difference.  Every JSON
+integer in the corpus fits in a signed 64-bit integer; larger values
+print as decimal strings.
 """
 
 import json
@@ -28,3 +30,18 @@ def test_stored_invocations_are_the_generated_corpus():
                          ids=lambda e: "-".join(e["argv"][:3]))
 def test_output_is_byte_identical(entry):
     assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+def _integers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _integers(item)]
+    return [value] if type(value) is int else []
+
+
+def test_every_json_integer_fits_in_64_bits():
+    documents = [json.loads(entry["stdout"]) for entry in ENTRIES
+                 if "--json" in entry["argv"] and entry["stdout"]]
+    numbers = [x for doc in documents for x in _integers(doc)]
+    assert numbers and all(-2 ** 63 <= x < 2 ** 63 for x in numbers)

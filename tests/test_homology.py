@@ -18,8 +18,6 @@ from brunnian.homology import (
     CHAIN_CLASSES,
     SCREEN_MODULUS,
     TWIST_SIGN,
-    is_prime,
-    rho_screen,
 )
 
 import oracles
@@ -151,6 +149,7 @@ class TestModularMatrix:
         (0, IDENTITY_ROWS),
         (1, IDENTITY_ROWS),
         (-3, IDENTITY_ROWS),
+        (2 ** 63, IDENTITY_ROWS),
         (3, ((1, 0),)),
         (3, IDENTITY_ROWS[:3]),
         (3, IDENTITY_ROWS[:3] + ((0, 0, 1),)),
@@ -236,14 +235,24 @@ class TestRho:
         rng = random.Random(204)
         for _ in range(200):
             w = random_twist(rng, 16)
-            screen = rho_screen(w)
+            screen = rho_mod(w, SCREEN_MODULUS)
             assert screen == rho(w).mod(SCREEN_MODULUS)
             assert rho_mod(w, 3) == rho(w).mod(3) == screen.mod(3)
+
+    def test_any_modulus_in_range_reduces_the_exact_action(self):
+        # Primality plays no part: composites, a power of two and the
+        # largest modulus all agree with the exact action reduced.
+        rng = random.Random(208)
+        for _ in range(100):
+            w = random_twist(rng, 40)
+            exact = rho(w)
+            for m in (4, 6, 2 ** 32, SCREEN_MODULUS, 2 ** 63 - 1):
+                assert rho_mod(w, m) == exact.mod(m)
 
     @pytest.mark.parametrize("q", [0, -3, 2, 5, 2 ** 61, 3 * SCREEN_MODULUS])
     def test_reduction_needs_a_divisor_of_the_modulus(self, q):
         with pytest.raises(PreconditionError):
-            rho_screen(INVOLUTION).mod(q)
+            rho_mod(INVOLUTION, SCREEN_MODULUS).mod(q)
 
     def test_generator_sixth_powers_die_mod_3(self):
         for i in range(1, 6):
@@ -285,33 +294,19 @@ class TestRho:
         with pytest.raises(PreconditionError):
             rho([7])
 
-    def test_non_prime_modulus_rejected(self):
+    def test_modulus_outside_the_range_rejected(self):
+        for p in (1, 0, -3, 2 ** 63, 2 ** 89 - 1, 3.0, True):
+            with pytest.raises(PreconditionError):
+                rho_mod(TwistWord((1,)), p)
+
+    def test_modulus_checked_before_any_letter(self):
+        # A word whose letters cannot be read shows the order.
+        class Letters:
+            @property
+            def letters(self):
+                raise AssertionError("letters read before the modulus")
         with pytest.raises(PreconditionError):
-            rho_mod(TwistWord((1,)), 4)
-        with pytest.raises(PreconditionError):
-            rho_mod(TwistWord((1,)), 1)
-
-
-class TestIsPrime:
-    def test_agrees_with_sympy(self):
-        assert [p for p in range(-3, 5000) if is_prime(p)] \
-            == list(sympy.primerange(0, 5000))
-        rng = random.Random(207)
-        for _ in range(2000):
-            n = rng.randrange(2, 10**24)
-            assert is_prime(n) == sympy.isprime(n), n
-
-    def test_strong_pseudoprimes(self):
-        # The least strong pseudoprimes to all prime bases up to 37 and
-        # up to 31 respectively.
-        assert not is_prime(318665857834031151167461)
-        assert not is_prime(3825123056546413051)
-        assert not is_prime(1000000007 * 1000000009)
-        assert is_prime(2**61 - 1)
-
-    def test_outside_the_exact_range_refused(self):
-        with pytest.raises(PreconditionError):
-            is_prime(2**89 - 1)
+            rho_mod(Letters(), 2 ** 63)
 
 
 class TestCharPolynomial:

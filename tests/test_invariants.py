@@ -60,18 +60,18 @@ def _replace_everywhere(monkeypatch, original, wrapper):
 
 @pytest.fixture
 def rho_calls(monkeypatch):
-    """Names the homology pass (``rho`` or ``rho_screen``) of each call
+    """Names the homology pass (``rho`` or ``rho_mod``) of each call
     through every binding of either function in the package."""
     involution_word()  # verified and cached before counting starts
     calls = []
 
     def counted(original):
-        def count(word):
+        def count(word, *modulus):
             calls.append(original.__name__)
-            return original(word)
+            return original(word, *modulus)
         return count
 
-    for original in (homology.rho, homology.rho_screen):
+    for original in (homology.rho, homology.rho_mod):
         _replace_everywhere(monkeypatch, original, counted(original))
     return calls
 
@@ -148,7 +148,7 @@ def test_one_homology_evaluation_per_genus2_command(rho_calls, command, word):
         code = main([command, "--surface", "genus2", "--word", word, "--json"])
     assert code == 0
     # Only certify prints the action, so only certify computes it exactly.
-    assert rho_calls == ["rho" if command == "certify" else "rho_screen"]
+    assert rho_calls == ["rho" if command == "certify" else "rho_mod"]
 
 
 def test_unprintable_coefficient_refused_before_any_engine_work(
