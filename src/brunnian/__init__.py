@@ -23,7 +23,6 @@ from .genus2 import (
     project,
 )
 from .homology import (
-    CharPolynomial,
     ModularMatrix,
     SymplecticMatrix,
     casson_bleiler,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BraidWord",
     "BrunnianReport",
-    "CharPolynomial",
     "DEFAULT_LETTER_CAP",
     "LetterBudget",
     "LetterBudgetExceeded",

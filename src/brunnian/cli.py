@@ -7,8 +7,8 @@ letter cap, the word from ``--word`` or stripped stdin, the parse.
 
 Exit codes: 0 the command ran to a conclusion (any status, including an
 undetermined certificate), 1 parse, usage or output error, 2 precondition
-violation, 3 letter budget exceeded.  Budget aborts inside ``certify``
-are recorded in-band in the certificate and still exit with 3.
+violation, 3 letter budget or memory exhausted.  Budget aborts inside
+``certify`` are recorded in-band in the certificate and still exit with 3.
 
 ``main(argv)`` returns the exit code, 0 after ``--help``, and may be
 called repeatedly in one process; it builds the argument parser on first
@@ -180,7 +180,7 @@ def _cmd_homology(args) -> int:
         matrix = homology.rho(word)
         rows = [[_decimal(x) for x in row] for row in matrix.rows]
         entries = {"matrix": rows, "charpoly": [
-            _decimal(c) for c in homology.charpoly(matrix).coefficients]}
+            _decimal(c) for c in homology.charpoly(matrix)]}
     else:
         # Entries are below the modulus, so they print as 64-bit integers.
         matrix = homology.rho_mod(word, args.mod)
@@ -259,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except LetterBudgetExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # a cap too large for the memory the process has
+        print("resource cap: out of memory", file=sys.stderr)
         return 3
 
 

@@ -138,7 +138,7 @@ def certify_pa_genus2(word: TwistWord,
     poly = homology.charpoly(action)
     printed = {
         "rho_integral": [[_decimal(x) for x in row] for row in action.rows],
-        "charpoly": [_decimal(c) for c in poly.coefficients],
+        "charpoly": [_decimal(c) for c in poly],
         "casson_bleiler": homology.casson_bleiler(poly),
     }
     report = _membership(word, action.mod(homology.SCREEN_MODULUS), budget)

@@ -16,6 +16,8 @@ with s = TWIST_SIGN (s = -TWIST_SIGN for the inverse twist); the global
 sign convention is fixed once and recorded in emitted certificates.
 
 Everything here is exact integer arithmetic on 4x4 matrices; no floats.
+Each input is checked once: a word's letters by the word's constructor,
+a modulus by _modulus, a polynomial by casson_bleiler.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from math import isqrt
 from typing import Literal, Sequence
 
 from .errors import PreconditionError
+from .freegroup import Word
 
 Row = tuple[int, int, int, int]
 Rows = tuple[Row, Row, Row, Row]
@@ -144,8 +147,8 @@ class ModularMatrix:
         return self.rows == ModularMatrix(self.p, _NEG_IDENTITY_ROWS).rows
 
     def mod(self, q: int) -> "ModularMatrix":
-        """The same matrix modulo q, which must divide p."""
-        if q < 2 or self.p % q:
+        """The same matrix modulo q, a modulus (see _modulus) dividing p."""
+        if self.p % _modulus(q):
             raise PreconditionError(f"{q} does not divide the modulus {self.p}")
         return ModularMatrix(q, self.rows)
 
@@ -153,17 +156,10 @@ class ModularMatrix:
 _CHAIN_DUALS = tuple(_dual(c) for c in CHAIN_CLASSES)
 
 
-def _letters_of(word) -> tuple[int, ...]:
-    letters, bound = tuple(getattr(word, "letters", word)), len(CHAIN_CLASSES)
-    for a in letters:
-        if not isinstance(a, int) or not 1 <= abs(a) <= bound:
-            raise PreconditionError(f"letter {a} is not a twist generator index")
-    return letters
-
-
-def _act(letters: tuple[int, ...], p: int | None) -> Rows:
-    """Rows of the homology action of ``letters``, exact when p is None,
-    else modulo p.
+def _act(word, p: int | None) -> Rows:
+    """Rows of the homology action of ``word``, exact when p is None,
+    else modulo p.  ``word`` must be a Word whose bound is at most five;
+    its constructor checked its letters.
 
     Each letter applies its transvection in place as
     M <- M + s (M c)(Jc)^T.  Every _CHECK_EVERY letters, and at the end,
@@ -172,6 +168,10 @@ def _act(letters: tuple[int, ...], p: int | None) -> Rows:
     reduced into (-p, p) keeping their sign, so small entries stay small;
     either way the work stays linear in the length of the word.
     """
+    if not isinstance(word, Word) or word.bound > len(CHAIN_CLASSES):
+        raise PreconditionError(
+            "homology takes a TwistWord or a BraidWord on at most six strands")
+    letters = word.letters
     m = [list(row) for row in _IDENTITY_ROWS]
     for start in range(0, len(letters), _CHECK_EVERY):
         for a in letters[start:start + _CHECK_EVERY]:
@@ -199,24 +199,25 @@ def _act(letters: tuple[int, ...], p: int | None) -> Rows:
 def rho(word) -> SymplecticMatrix:
     """Homology action of a twist word, multiplied in word order.
 
-    Accepts a TwistWord (or any object with signed-integer ``letters``
-    in +-1..5) and is a homomorphism: rho(uv) is rho(u) times rho(v).  A
-    word whose entries pass _MAX_DECIMAL_BITS bits on the way is refused
-    with PreconditionError (see _act); rho_mod never refuses a word.
+    Takes a TwistWord or a BraidWord on at most six strands (its letterwise
+    lift) and is a homomorphism: rho(uv) is rho(u) times rho(v).  A word
+    whose entries pass _MAX_DECIMAL_BITS bits on the way is refused with
+    PreconditionError (see _act); rho_mod never refuses a word for size.
     """
-    result = SymplecticMatrix(_act(_letters_of(word), None))
+    result = SymplecticMatrix(_act(word, None))
     if not result.is_symplectic():
         raise AssertionError("the homology action must be symplectic")
     return result
 
 
 def rho_mod(word, p: int) -> ModularMatrix:
-    """rho modulo p in 2..2^63 - 1, checked before any letter is applied.
+    """rho modulo p in 2..2^63 - 1, checked before the word.
 
-    The rows are reduced as they are computed, so no word is refused for size.
+    Takes the words rho takes; the rows are reduced as they are computed,
+    so no word is refused for size.
     """
     p = _modulus(p)
-    return ModularMatrix(p, _act(_letters_of(word), p))
+    return ModularMatrix(p, _act(word, p))
 
 
 # Modulo 3 this is Theorem 1.2's kernel test; modulo the prime 2^61 - 1 it
@@ -229,29 +230,9 @@ SCREEN_MODULUS = 3 * (2 ** 61 - 1)
 # characteristic polynomials and the homological pseudo-Anosov criterion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharPolynomial:
-    """Monic degree-4 integer polynomial; coefficients leading-first."""
-
-    coefficients: tuple[int, int, int, int, int]
-
-    def __post_init__(self):
-        coeffs = _integers(self.coefficients)
-        if len(coeffs) != 5:
-            raise PreconditionError("expected five coefficients (degree 4)")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coefficients[0] == 1
-
-    @property
-    def is_palindromic(self) -> bool:
-        return self.coefficients == self.coefficients[::-1]
-
-
-def charpoly(m: SymplecticMatrix) -> CharPolynomial:
-    """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier scheme.
+def charpoly(m: SymplecticMatrix) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier
+    scheme, as its five integer coefficients, leading first.
 
     All divisions in the recursion are exact over the integers; this is
     checked rather than assumed.
@@ -270,7 +251,7 @@ def charpoly(m: SymplecticMatrix) -> CharPolynomial:
                 tuple(mk[i][j] + (ck if i == j else 0) for j in range(4))
                 for i in range(4))
             mk = _mat_mul(a, shifted)
-    return CharPolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 # The irreducible degree-4 cyclotomic polynomials with a nonzero cubic
@@ -280,9 +261,11 @@ _CYCLOTOMICS_5_10 = frozenset({(1, 1, 1, 1, 1), (1, -1, 1, -1, 1)})
 CassonBleilerVerdict = Literal["pa_certified", "inconclusive"]
 
 
-def casson_bleiler(q: CharPolynomial) -> CassonBleilerVerdict:
+def casson_bleiler(coefficients) -> CassonBleilerVerdict:
     """Sufficient homological test for a mapping class to be pseudo-Anosov.
 
+    Takes a characteristic polynomial as charpoly returns it; anything
+    but five integers, monic and palindromic, is a PreconditionError.
     Certifies when the characteristic polynomial of the homology action
     is irreducible over Q, is not cyclotomic, and is not a polynomial in
     x^k for k >= 2.  The polynomial of a symplectic matrix is reciprocal,
@@ -292,11 +275,12 @@ def casson_bleiler(q: CharPolynomial) -> CassonBleilerVerdict:
     (x^2 + p x - 1)(x^2 - p x - 1).  With a = 0 it is a polynomial in
     x^2 and inconclusive either way, which leaves a closed form.
     """
-    if not (q.is_monic and q.is_palindromic):
+    q = _integers(coefficients)
+    if len(q) != 5 or q[0] != 1 or q != q[::-1]:
         raise PreconditionError("criterion applies to monic reciprocal quartics")
-    a, b = q.coefficients[1], q.coefficients[2]
+    a, b = q[1], q[2]
     disc = a * a - 4 * (b - 2)
     if (a == 0 or (disc >= 0 and isqrt(disc) ** 2 == disc)
-            or q.coefficients in _CYCLOTOMICS_5_10):
+            or q in _CYCLOTOMICS_5_10):
         return "inconclusive"
     return "pa_certified"

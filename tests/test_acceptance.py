@@ -155,7 +155,8 @@ def test_criterion_5_representation_sanity(capsys):
         assert preserves_form(matrix.rows)
         assert oracles.leibniz_det4(matrix.rows) == 1
         assert rho_mod(word, 3).rows == matrix.mod(3).rows
-        assert charpoly(matrix).is_palindromic
+        q = charpoly(matrix)
+        assert q == q[::-1]
         checked += 1
     assert checked >= 200
     with capsys.disabled():

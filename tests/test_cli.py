@@ -229,12 +229,14 @@ class TestExample:
         assert code == 2
 
 
-def run_subprocess(*argv, env=()):
+def run_subprocess(*argv, env=(), **options):
     """The CLI in a fresh interpreter, so a hang or a memory blow-up is
-    a test failure rather than a stuck run; ``env`` adds variables."""
+    a test failure rather than a stuck run; ``env`` adds variables and
+    ``options`` go to subprocess.run."""
     return subprocess.run(
         [sys.executable, "-m", "brunnian.cli", *argv], capture_output=True,
-        text=True, timeout=20, env={**os.environ, "PYTHONPATH": SRC, **dict(env)})
+        text=True, timeout=20, env={**os.environ, "PYTHONPATH": SRC, **dict(env)},
+        **options)
 
 
 FORTY_DIGITS = "1234567890" * 4
@@ -267,6 +269,27 @@ class TestResourceBounds:
         done = run_subprocess(*argv)
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr.startswith("resource cap:")
+
+    # Parsing holds an expanded power as a list once its charge fits the
+    # cap, so this cap lets one token ask for 8 * 10^11 bytes.  The child
+    # runs under an 800 MB address-space limit, where the allocation fails
+    # at once; without it an overcommitting kernel could grant the list
+    # lazily and page it in until the machine runs out of memory.
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs Linux's RLIMIT_AS")
+    def test_out_of_memory_is_a_resource_cap(self):
+        import resource
+        limit = 800 * 2 ** 20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        done = run_subprocess("check", "--surface", "sphere:5",
+                              "--word", "s1^100000000000",
+                              "--max-letters", "1000000000000",
+                              preexec_fn=cap_memory)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "resource cap: out of memory\n"
 
     def test_example_at_the_letter_cap_runs(self):
         done = run_subprocess("example", "--n", "9", "--max-letters", "2292",

@@ -4,7 +4,7 @@ import pytest
 import sympy
 
 from brunnian import (
-    CharPolynomial,
+    BraidWord,
     ModularMatrix,
     SymplecticMatrix,
     TwistWord,
@@ -123,9 +123,11 @@ class TestIntegerEntries:
             SymplecticMatrix(rows)
 
     def test_char_polynomial_refuses_non_integers(self):
-        # Truncated, (1, 0.7, 0, 0, 1) would be x^4 + 1.
-        with pytest.raises(PreconditionError):
-            CharPolynomial((1, 0.7, 0, 0, 1))
+        # Truncated, (1, 0.7, 0, 0, 1) would be x^4 + 1, and the
+        # palindromic (1, 0.5, 0, 0.5, 1) would be x^4 + 1 too.
+        for coeffs in ((1, 0.7, 0, 0, 1), (1, 0.5, 0, 0.5, 1)):
+            with pytest.raises(PreconditionError):
+                casson_bleiler(coeffs)
 
     def test_modular_matrix_refuses_non_integers(self):
         # Unchecked, a 1.0 on the diagonal compared equal to the identity.
@@ -254,6 +256,14 @@ class TestRho:
         with pytest.raises(PreconditionError):
             rho_mod(INVOLUTION, SCREEN_MODULUS).mod(q)
 
+    # mod(q) checks q as a modulus before it tests that q divides p:
+    # 1 divides 6 but is no modulus.
+    @pytest.mark.parametrize("q", ["3", None, 1, 2 ** 63],
+                             ids=["str", "none", "one", "two-to-63"])
+    def test_reduction_takes_a_modulus(self, q):
+        with pytest.raises(PreconditionError):
+            ModularMatrix(6, IDENTITY_ROWS).mod(q)
+
     def test_generator_sixth_powers_die_mod_3(self):
         for i in range(1, 6):
             assert rho_mod(TwistWord((i,) * 6), 3).is_identity
@@ -294,32 +304,55 @@ class TestRho:
         with pytest.raises(PreconditionError):
             rho([7])
 
+    # A word's constructor checks its letters; rho and rho_mod check only
+    # that they hold a Word on at most five generators.
+    @pytest.mark.parametrize("word", [(1, 2), [1], (), BraidWord(7, (6,)),
+                                      BraidWord(7)],
+                             ids=["tuple", "list", "empty-tuple",
+                                  "seven-strands", "seven-strands-empty"])
+    def test_only_words_on_five_generators_are_read(self, word):
+        with pytest.raises(PreconditionError):
+            rho(word)
+        with pytest.raises(PreconditionError):
+            rho_mod(word, 3)
+
+    def test_six_strand_braid_words_read_as_their_lift(self):
+        rng = random.Random(209)
+        for _ in range(100):
+            letters = oracles.random_letters(rng, 5, rng.randint(0, 30))
+            for p in (3, SCREEN_MODULUS):
+                assert rho_mod(BraidWord(6, letters), p) \
+                    == rho_mod(TwistWord(letters), p)
+            assert rho(BraidWord(6, letters)) == rho(TwistWord(letters))
+        assert rho(BraidWord(4, (1, -3))) == rho(TwistWord((1, -3)))
+
     def test_modulus_outside_the_range_rejected(self):
         for p in (1, 0, -3, 2 ** 63, 2 ** 89 - 1, 3.0, True):
             with pytest.raises(PreconditionError):
                 rho_mod(TwistWord((1,)), p)
 
     def test_modulus_checked_before_any_letter(self):
-        # A word whose letters cannot be read shows the order.
-        class Letters:
-            @property
-            def letters(self):
-                raise AssertionError("letters read before the modulus")
-        with pytest.raises(PreconditionError):
-            rho_mod(Letters(), 2 ** 63)
+        # Both arguments are refused; the refusal names the modulus.
+        for word in ((7,), BraidWord(7, (6,))):
+            with pytest.raises(PreconditionError, match="modulus"):
+                rho_mod(word, 2 ** 63)
 
 
 class TestCharPolynomial:
     def test_identity(self):
-        assert charpoly(SymplecticMatrix(IDENTITY_ROWS)).coefficients == (1, -4, 6, -4, 1)
+        assert charpoly(SymplecticMatrix(IDENTITY_ROWS)) == (1, -4, 6, -4, 1)
 
     def test_minus_identity(self):
         m = rho(INVOLUTION)
-        assert charpoly(m).coefficients == (1, 4, 6, 4, 1)
+        assert charpoly(m) == (1, 4, 6, 4, 1)
 
     def test_nested_commutator_coefficients(self):
-        assert (charpoly(rho(nested_commutator())).coefficients
-                == NESTED_COMMUTATOR_CHARPOLY)
+        assert charpoly(rho(nested_commutator())) == NESTED_COMMUTATOR_CHARPOLY
+
+    def test_coefficients_are_a_tuple_of_ints(self):
+        q = charpoly(rho(TwistWord((1, -2, 3, -4))))
+        assert type(q) is tuple and len(q) == 5
+        assert all(type(c) is int for c in q)
 
     def test_point_values_match_leibniz_determinant(self):
         rng = random.Random(205)
@@ -327,51 +360,52 @@ class TestCharPolynomial:
             m = rho(random_twist(rng, 14))
             q = charpoly(m)
             for t in (-2, -1, 0, 1, 2):
-                assert oracles.poly_value(q.coefficients, t) \
+                assert oracles.poly_value(q, t) \
                     == oracles.charpoly_value(m, t)
 
     def test_rho_charpolys_palindromic(self):
         rng = random.Random(206)
         for _ in range(200):
-            assert charpoly(rho(random_twist(rng, 16))).is_palindromic
+            q = charpoly(rho(random_twist(rng, 16)))
+            assert q == q[::-1]
 
 
 class TestCassonBleiler:
     def test_fully_reducible_inconclusive(self):
-        assert casson_bleiler(CharPolynomial((1, -4, 6, -4, 1))) == "inconclusive"
+        assert casson_bleiler((1, -4, 6, -4, 1)) == "inconclusive"
 
     def test_cyclotomic_inconclusive(self):
-        assert casson_bleiler(CharPolynomial((1, 0, -1, 0, 1))) == "inconclusive"
-        assert casson_bleiler(CharPolynomial((1, 1, 1, 1, 1))) == "inconclusive"
-        assert casson_bleiler(CharPolynomial((1, 0, 0, 0, 1))) == "inconclusive"
-        assert casson_bleiler(CharPolynomial((1, -1, 1, -1, 1))) == "inconclusive"
+        assert casson_bleiler((1, 0, -1, 0, 1)) == "inconclusive"
+        assert casson_bleiler((1, 1, 1, 1, 1)) == "inconclusive"
+        assert casson_bleiler((1, 0, 0, 0, 1)) == "inconclusive"
+        assert casson_bleiler((1, -1, 1, -1, 1)) == "inconclusive"
 
     def test_polynomial_in_x_squared_inconclusive(self):
         # Irreducible but a polynomial in x^2.
-        q = CharPolynomial((1, 0, -3, 0, 1))
+        q = (1, 0, -3, 0, 1)
         assert casson_bleiler(q) == "inconclusive"
 
     def test_certified_example(self):
-        assert casson_bleiler(CharPolynomial((1, -1, -1, -1, 1))) == "pa_certified"
+        assert casson_bleiler((1, -1, -1, -1, 1)) == "pa_certified"
 
     def test_twist_pair_word_certified(self):
         # d1 d2^-1 d3 d4^-1 has irreducible non-cyclotomic polynomial.
         q = charpoly(rho(TwistWord((1, -2, 3, -4))))
-        assert q.coefficients == (1, -7, 13, -7, 1)
+        assert q == (1, -7, 13, -7, 1)
         assert casson_bleiler(q) == "pa_certified"
 
     def test_nested_commutator_is_inconclusive(self):
         # (x-1)^2 divides it, so the homology criterion cannot certify it.
-        q = CharPolynomial(NESTED_COMMUTATOR_CHARPOLY)
+        q = NESTED_COMMUTATOR_CHARPOLY
         assert casson_bleiler(q) == "inconclusive"
-        assert oracles.poly_value(q.coefficients, 1) == 0
+        assert oracles.poly_value(q, 1) == 0
 
     def test_agrees_with_sympy_irreducibility(self):
         rng = random.Random(207)
         x = sympy.symbols("x")
         for _ in range(150):
             q = charpoly(rho(random_twist(rng, 12)))
-            poly = sum(c * x ** (4 - i) for i, c in enumerate(q.coefficients))
+            poly = sum(c * x ** (4 - i) for i, c in enumerate(q))
             irreducible = sympy.Poly(poly, x).is_irreducible
             verdict = casson_bleiler(q)
             if verdict == "pa_certified":
@@ -382,7 +416,7 @@ class TestCassonBleiler:
     def test_certified_excludes_roots_of_unity(self):
         rng = random.Random(208)
         seen = 0
-        candidates = [CharPolynomial((1, -1, -1, -1, 1)),
+        candidates = [(1, -1, -1, -1, 1),
                       charpoly(rho(TwistWord((1, -2, 3, -4))))]
         for _ in range(200):
             candidates.append(charpoly(rho(random_twist(rng, 10))))
@@ -390,7 +424,7 @@ class TestCassonBleiler:
             if casson_bleiler(q) == "pa_certified":
                 seen += 1
                 for m in range(1, 25):
-                    assert not oracles.divides_x_power_minus_one(q.coefficients, m)
+                    assert not oracles.divides_x_power_minus_one(q, m)
         assert seen >= 2
 
     def test_closed_form_agrees_with_sympy_on_a_grid(self):
@@ -408,15 +442,30 @@ class TestCassonBleiler:
                 irreducible = sympy.Poly(
                     x**4 + a * x**3 + b * x**2 + a * x + 1, x).is_irreducible
                 expected = irreducible and a != 0 and coeffs not in cyclotomic
-                verdict = casson_bleiler(CharPolynomial(coeffs))
+                verdict = casson_bleiler(coeffs)
                 assert (verdict == "pa_certified") == expected, coeffs
 
     def test_non_monic_rejected(self):
-        with pytest.raises(PreconditionError):
-            casson_bleiler(CharPolynomial((2, 0, 0, 0, 1)))
+        for coeffs in ((2, 0, 0, 0, 1), (2, 0, 0, 0, 2), (-1, 0, 0, 0, -1)):
+            with pytest.raises(PreconditionError):
+                casson_bleiler(coeffs)
 
     @pytest.mark.parametrize("coeffs", [(1, 2, 3, 4, 1), (1, 0, 0, 0, -1),
-                                        (1, -1, -1, -1, 2)])
+                                        (1, -1, -1, -1, 2), (1, 1, 0, 0, 1)])
     def test_non_reciprocal_rejected(self, coeffs):
         with pytest.raises(PreconditionError):
-            casson_bleiler(CharPolynomial(coeffs))
+            casson_bleiler(coeffs)
+
+    # The criterion checks its one input itself: five integers, as
+    # charpoly returns them (non-integers: TestIntegerEntries).
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0, 1), (1, 0, 0, 0, 0, 1),
+                                        (), (1,), None, "11111"],
+                             ids=["four", "six", "none-given", "one", "None",
+                                  "str"])
+    def test_only_five_integers_accepted(self, coeffs):
+        with pytest.raises(PreconditionError):
+            casson_bleiler(coeffs)
+
+    def test_list_of_coefficients_accepted(self):
+        assert casson_bleiler([1, -7, 13, -7, 1]) == "pa_certified"
+
