@@ -3,8 +3,12 @@
 ``python tests/golden.py`` (with ``src`` on ``PYTHONPATH``) runs every
 invocation of :func:`corpus` and writes its argv, exit code and stdout to
 ``data/golden.json``, which ``test_golden.py`` replays byte for byte.
-Rewrite the file only for an intended change of output, and say which
-fields changed and why.
+The corpus runs all six commands: ``check``, ``brunnian`` and
+``certify`` on every word, ``project``, ``homology`` and ``example`` in
+text and JSON, and refusals that exit 2 with empty stdout.  Rewrite the
+file only for an intended change of output, and say which fields
+changed and why; new invocations are appended, so the test ids of the
+older ones stay as they were.
 """
 
 from __future__ import annotations
@@ -113,6 +117,34 @@ def corpus() -> list[list[str]]:
         if j % 5 == 0:
             runs.append(["homology", "--surface", "genus2", "--word",
                          _render("d", letters), "--json"])
+
+    # project, homology and example in both output forms, and refusals that
+    # exit 2 without reading stdin.  Entries are only ever appended, and an
+    # argv whose first three items would repeat a single older entry's
+    # leads with another option, so every older test id stays as it was.
+    twist = _render("d", _random_letters(random.Random(20261020), 5, 30))
+    for text in (_nested("d", 6), twist):
+        for json_out in (False, True):
+            runs.append(["project", "--word", text, "--surface", "genus2"]
+                        + (["--json"] if json_out else []))
+    for text in (involution, _nested("d", 6)):
+        for mod in (None, "3", "2305843009213693951"):
+            for json_out in (False, True):
+                if text == involution and json_out and mod in (None, "3"):
+                    continue  # already above
+                runs.append(["homology", "--surface", "genus2", "--word", text]
+                            + (["--mod", mod] if mod else [])
+                            + (["--json"] if json_out else []))
+    for n in (8, 9):
+        runs.append(["example", "--n", str(n), "--json"])
+    runs.append(["example", "--surface", "genus2", "--n", "6"])
+    runs.append(["example", "--surface", "genus2", "--n", "6", "--json"])
+    runs.append(["example", "--surface", "sphere:7", "--n", "7"])
+    runs.append(["project", "--surface", "sphere:6", "--word", "s1"])
+    runs.append(["example", "--surface", "sphere:6", "--n", "5"])
+    runs.append(["example", "--n", "1001", "--json"])
+    for surface in ("sphere:1001", "sphere:1"):
+        runs.append(["check", "--surface", surface, "--word", "s1", "--json"])
     return runs
 
 

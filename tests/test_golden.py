@@ -6,8 +6,14 @@ covers ``check``, ``brunnian`` and ``certify`` on the nested-commutator
 flagship at a 30000-letter cap (so the accounting after a budget abort
 is pinned), full twists, powers of the genus-2 chain and of the
 hyperelliptic involution, and seeded random pure sphere words and
-genus-2 words.  Any change to a certificate, a verdict or
-``letters_used`` shows up here as a byte difference.  Every JSON
+genus-2 words.  It also pins ``project`` (the genus-2 flagship and a
+seeded random twist word), ``homology`` exact and modulo 3, 7 and
+2^61 - 1, ``example`` on ``sphere:5..9`` and ``genus2``, each in text
+and JSON, and the exit code of refused surfaces (``sphere:1``,
+``sphere:1001``, a sphere given to ``project``, an ``example`` whose
+surface and ``--n`` disagree).  Any change to a certificate, a verdict,
+a rendered word or ``letters_used`` shows up here as a byte
+difference.  Every JSON
 integer in the corpus fits in a signed 64-bit integer; larger values
 print as decimal strings.
 """
