@@ -92,6 +92,7 @@ class BraidWord(Word):
 
     n: int
     letters: Letters = ()
+    prefix = "s"
 
     def __post_init__(self):
         if not isinstance(self.n, int):
@@ -106,6 +107,10 @@ class BraidWord(Word):
     @property
     def bound(self) -> int:
         return self.n - 1
+
+    @property
+    def surface(self) -> tuple:
+        return ("sphere", self.n)
 
     def permutation(self) -> Permutation:
         """Puncture permutation induced by the word (start strand -> end position)."""
@@ -309,8 +314,7 @@ def certify_pa_sphere(word: BraidWord,
         raise PreconditionError("certification needs at least five punctures")
     if budget is None:
         budget = LetterBudget()
-    return document(("sphere", word.n), word, brunnian_check(word, budget),
-                    budget, input_text)
+    return document(word, brunnian_check(word, budget), budget, input_text)
 
 
 def brunnian_example(n: int) -> BraidWord:

@@ -4,13 +4,13 @@ A certificate is the ``brunnian-cert/1`` document that :func:`document`
 assembles, the only code that does: the normalized word, every check
 that was evaluated (null where a letter-budget abort prevented a
 verdict), the conclusion with its legal basis, and the resource
-accounting.  The conclusion is a function of the surface and the checks
-alone (:func:`conclude`), picked once per document, so a certificate is
-checked by recomputing it from its checks.  Serialisation is canonical:
-fixed key order, ASCII only, no floats, and integers that may exceed 64
-bits (matrix entries, polynomial coefficients) rendered as decimal
-strings.  Identical inputs therefore produce byte-identical documents on
-any platform.
+accounting.  The conclusion is a function of the word's own surface
+and the checks alone (:func:`conclude`), picked once per document, so a
+certificate is checked by recomputing it from its checks.
+Serialisation is canonical: fixed key order, ASCII only, no floats, and
+integers that may exceed 64 bits (matrix entries, polynomial
+coefficients) rendered as decimal strings.  Identical inputs therefore
+produce byte-identical documents on any platform.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ def _decimal(value: int) -> str:
     return "-" * (value < 0) + str(rest) + "".join(reversed(pieces))
 
 
-def render_word(surface: tuple, letters: Sequence[int]) -> str:
-    """render_letters with the surface's generator prefix (``s`` or ``d``)."""
-    return render_letters("d" if surface[0] == "genus2" else "s", letters)
+def render_word(word) -> str:
+    """render_letters of a word's letters with its own prefix (``s`` or ``d``)."""
+    return render_letters(word.prefix, word.letters)
 
 
 def render_letters(prefix: str, letters: Sequence[int]) -> str:
@@ -107,9 +107,9 @@ def render_letters(prefix: str, letters: Sequence[int]) -> str:
     return " ".join(parts)
 
 
-def document(surface: tuple, word, report, budget,
-             input_text: str | None = None, **extra_checks) -> dict:
-    """The ``brunnian-cert/1`` document of ``word`` on ``surface``.
+def document(word, report, budget, input_text: str | None = None,
+             **extra_checks) -> dict:
+    """The ``brunnian-cert/1`` document of ``word`` on its own surface.
 
     ``report`` carries the puncture permutation, the strand verdicts,
     the word's own triviality and, on genus 2, the mod-3 identity
@@ -125,11 +125,11 @@ def document(surface: tuple, word, report, budget,
     if report.rho_mod3_identity is not None:
         checks["rho_mod3_identity"] = report.rho_mod3_identity
     checks.update(extra_checks)
-    status, justification = conclude(surface, checks)
-    word_text = render_word(surface, word.letters)
+    status, justification = conclude(word.surface, checks)
+    word_text = render_word(word)
     return {
         "schema": CERT_SCHEMA,
-        "surface": dict(zip(("kind", "n"), surface)),  # no "n" on genus 2
+        "surface": dict(zip(("kind", "n"), word.surface)),  # no "n" on genus 2
         "input": word_text if input_text is None else input_text,
         "word": word_text,
         "length": len(word.letters),

@@ -3,7 +3,8 @@
 Input is read in one order, the first refusal winning: the surface
 (``project`` and ``homology`` default to and require ``genus2``), the
 letter cap, the word from ``--word`` or stripped stdin, the parse.
-``example`` builds its word and takes none.
+The surface is read as its empty word and the parsed word carries it
+on.  ``example`` builds its word as the surface's type and takes none.
 
 Exit codes: 0 the command ran to a conclusion (any status, including an
 undetermined certificate), 1 parse, usage or output error, 2 precondition
@@ -28,8 +29,7 @@ from . import braid, genus2, homology
 from .budget import DEFAULT_LETTER_CAP, MAX_LETTER_CAP, LetterBudget, unless_aborted
 from .certificate import _decimal, canonical_json, render_word
 from .errors import LetterBudgetExceeded, PreconditionError, WordSyntaxError
-from .parsing import (integer, parse_surface, parse_word, sphere_surface,
-                      surface_label)
+from .parsing import integer, parse_surface, parse_word, surface_label
 
 
 class _UsageError(Exception):
@@ -84,13 +84,13 @@ def _build_parser() -> _Parser:
 
 
 def _read(args, default: str | None = None):
-    """The command's surface, budget, word text and parsed word, read in
-    that order; a ``default`` surface is the only one the command takes."""
+    """The command's budget, word text and parsed word, read after the
+    surface; a ``default`` surface is the only one the command takes."""
     name = default if args.surface is None else args.surface
     if name is None:
         raise _UsageError(f"{args.command} requires --surface")
-    surface = parse_surface(name)
-    if default is not None and surface[0] != default:
+    group = parse_surface(name)
+    if default is not None and surface_label(group) != default:
         raise PreconditionError(f"{args.command} takes a genus-2 word")
     budget = _budget(args)
     text = args.word
@@ -100,7 +100,7 @@ def _read(args, default: str | None = None):
         except UnicodeDecodeError as exc:
             raise WordSyntaxError(
                 f"stdin is not valid {exc.encoding}: {exc.reason}") from None
-    return surface, budget, text, parse_word(text, surface, budget)
+    return budget, text, parse_word(text, group, budget)
 
 
 def _budget(args) -> LetterBudget:
@@ -121,12 +121,11 @@ def _verdict_text(value, yes: str = "trivial", no: str = "nontrivial") -> str:
     return yes if value else no
 
 
-def _report(args, surface, word, budget: LetterBudget, human: str,
-            **verdicts) -> int:
+def _report(args, word, budget: LetterBudget, human: str, **verdicts) -> int:
     """Emit the verdict document of ``check`` or ``brunnian``; exit 3 on an abort."""
     doc = {
-        "surface": surface_label(surface),
-        "word": render_word(surface, word.letters),
+        "surface": surface_label(word),
+        "word": render_word(word),
         **verdicts,
         "letters_used": budget.used,
         "letter_cap": budget.cap,
@@ -137,36 +136,35 @@ def _report(args, surface, word, budget: LetterBudget, human: str,
 
 
 def _cmd_check(args) -> int:
-    surface, budget, _, word = _read(args)
-    if surface[0] == "sphere":
+    budget, _, word = _read(args)
+    if isinstance(word, braid.BraidWord):
         verdict = unless_aborted(braid.is_trivial_sphere, word, budget)
     else:
         verdict = unless_aborted(genus2.is_trivial_genus2, word, budget)
-    return _report(args, surface, word, budget, _verdict_text(verdict),
-                   trivial=verdict)
+    return _report(args, word, budget, _verdict_text(verdict), trivial=verdict)
 
 
 def _cmd_brunnian(args) -> int:
-    surface, budget, _, word = _read(args)
-    if surface[0] == "sphere":
+    budget, _, word = _read(args)
+    if isinstance(word, braid.BraidWord):
         report = braid.brunnian_check(word, budget)
     else:
         # The strand checks are the projection's; triviality is the word's.
         report = genus2.membership_theorem12(word, budget)
     human = _verdict_text(report.brunnian, "brunnian", "not brunnian")
-    return _report(args, surface, word, budget,
+    return _report(args, word, budget,
                    f"{human}; word {_verdict_text(report.trivial)}",
                    per_strand=list(report.per_strand),
                    brunnian=report.brunnian, trivial=report.trivial)
 
 
 def _cmd_project(args) -> int:
-    surface, _, _, word = _read(args, default="genus2")
+    _, _, word = _read(args, default="genus2")
     projection = genus2.project(word)
-    rendered = render_word(sphere_surface(projection.n), projection.letters)
+    rendered = render_word(projection)
     doc = {
-        "surface": surface_label(surface),
-        "word": render_word(surface, word.letters),
+        "surface": surface_label(word),
+        "word": render_word(word),
         "projection": rendered,
         "n": projection.n,
     }
@@ -175,7 +173,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    surface, _, _, word = _read(args, default="genus2")
+    _, _, word = _read(args, default="genus2")
     if args.mod is None:
         matrix = homology.rho(word)
         rows = [[_decimal(x) for x in row] for row in matrix.rows]
@@ -186,8 +184,7 @@ def _cmd_homology(args) -> int:
         matrix = homology.rho_mod(word, args.mod)
         rows = [[str(x) for x in row] for row in matrix.rows]
         entries = {"matrix": [list(row) for row in matrix.rows]}
-    doc = {"surface": surface_label(surface),
-           "word": render_word(surface, word.letters),
+    doc = {"surface": surface_label(word), "word": render_word(word),
            "mod": args.mod, **entries, "identity": matrix.is_identity}
     human = "\n".join(" ".join(row) for row in rows)
     _emit(args, doc, human)
@@ -195,8 +192,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    surface, budget, text, word = _read(args)
-    if surface[0] == "sphere":
+    budget, text, word = _read(args)
+    if isinstance(word, braid.BraidWord):
         doc = braid.certify_pa_sphere(word, budget, input_text=text)
     else:
         doc = genus2.certify_pa_genus2(word, budget, input_text=text)
@@ -210,20 +207,23 @@ def _cmd_example(args) -> int:
     if args.word is not None:
         raise _UsageError("example takes no --word; it builds its own")
     n = args.n
-    surface = None if args.surface is None else parse_surface(args.surface)
+    group = None if args.surface is None else parse_surface(args.surface)
     if n < 5:
         raise PreconditionError("the example family starts at five strands")
-    surface = surface or sphere_surface(n)
-    if surface[0] == "genus2" and n != 6:
+    if group is None:  # not `group or`: an empty word is falsy
+        group = braid.BraidWord(n)
+    if isinstance(group, genus2.TwistWord) and n != 6:
         raise PreconditionError("the genus-2 example needs --n 6")
-    if surface[0] == "sphere" and surface[1] != n:
+    if isinstance(group, braid.BraidWord) and group.n != n:
         raise PreconditionError("--surface strand count must match --n")
     # The word is charged in full before it is built.
     _budget(args).charge(braid.example_length(n))
     word = braid.brunnian_example(n)
-    rendered = render_word(surface, word.letters)
+    if isinstance(group, genus2.TwistWord):  # its letterwise lift
+        word = genus2.TwistWord(word.letters)
+    rendered = render_word(word)
     doc = {
-        "surface": surface_label(surface),
+        "surface": surface_label(word),
         "n": n,
         "word": rendered,
         "length": len(word.letters),

@@ -190,13 +190,13 @@ class Word:
     """Shared core of the freely reduced word types.
 
     A subclass is a frozen dataclass whose last field is ``letters``; its
-    other fields name the group (a strand count, or nothing) and
-    ``bound`` is the largest generator index they allow.  The
-    constructor is the only way to build a word: it takes any iterable
-    of letters, checks each against ``bound`` before reducing, so an
-    out-of-range pair that would cancel is still refused, and stores the
-    freely reduced letters.  Operations return a word of the same type
-    and group.
+    other fields name the group (a strand count, or nothing), ``bound``
+    is the largest generator index they allow, and ``prefix`` and
+    ``surface`` name the generator letter and the surface.  Only the
+    constructor builds a word: it takes any iterable of letters, checks
+    each against ``bound`` before reducing, so an out-of-range pair that
+    would cancel is still refused, and stores the freely reduced
+    letters.  Operations return a word of the same type and group.
     """
 
     letters: Letters

@@ -44,6 +44,8 @@ class TwistWord(Word):
 
     letters: Letters = ()
     bound = GENERATOR_COUNT
+    prefix = "d"
+    surface = ("genus2",)
 
 
 def project(word: TwistWord) -> BraidWord:
@@ -142,4 +144,4 @@ def certify_pa_genus2(word: TwistWord,
         "casson_bleiler": homology.casson_bleiler(poly),
     }
     report = _membership(word, action.mod(homology.SCREEN_MODULUS), budget)
-    return document(("genus2",), word, report, budget, input_text, **printed)
+    return document(word, report, budget, input_text, **printed)

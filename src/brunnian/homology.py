@@ -117,11 +117,10 @@ class SymplecticMatrix:
 
 
 def _modulus(p) -> int:
-    """p as a modulus, refused outside 2..2^63 - 1: reduced entries stay
-    signed 64-bit integers, and a pass costs what the screen's does."""
-    (p,) = _integers((p,))
-    if not 2 <= p < 2 ** 63:
-        raise PreconditionError("a modulus must be in 2..2^63 - 1")
+    """p as a modulus, an int in 2..2^63 - 1: reduced entries stay signed
+    64-bit integers, and a pass costs what the screen's does."""
+    if not (isinstance(p, int) and 2 <= p < 2 ** 63):
+        raise PreconditionError("a modulus must be an int in 2..2^63 - 1")
     return p
 
 

@@ -8,13 +8,15 @@
     uint := [0-9]+
 
 Tokens may be separated by whitespace (the characters of str.isspace)
-or adjacent; digits are ASCII only.  ``s`` generators belong to sphere
-surfaces (index below the strand count), ``d`` generators to the
-genus-2 surface (index 1..5).  Powers take a signed decimal exponent, a
-commutator [A, B] expands to A B A^-1 B^-1, and parsing returns the
-fully expanded, word-level reduced word.  Power and commutator
-expansion is charged against the letter budget so that a pathological
-exponent aborts instead of exhausting memory.
+or adjacent; digits are ASCII only.  A surface is named by its empty
+word (:func:`parse_surface`), and text is parsed into a word of its
+type: the word's ``prefix`` is the generator letter (``s`` on a
+sphere, ``d`` on genus 2) and its ``bound`` the largest index.  Powers
+take a signed decimal exponent, a commutator [A, B] expands to
+A B A^-1 B^-1, and parsing returns the fully expanded, word-level
+reduced word.  Power and commutator expansion is charged against the
+letter budget so that a pathological exponent aborts instead of
+exhausting memory.
 
 The whole text is tokenized before it is parsed, so a lexical error
 comes first.  A WordSyntaxError is at the unexpected character, at the
@@ -27,46 +29,34 @@ early.
 from __future__ import annotations
 
 import re
-from typing import Union
 
-from .braid import MAX_STRANDS, BraidWord
+from .braid import BraidWord
 from .budget import LetterBudget
 from .errors import PreconditionError, WordSyntaxError
-from .freegroup import _invert
-from .genus2 import GENERATOR_COUNT, TwistWord
-
-Surface = tuple  # ("sphere", n) or ("genus2",)
-Word = Union[BraidWord, TwistWord]
+from .freegroup import Word, _invert
+from .genus2 import TwistWord
 
 # Groups and commutators nest at most this deep; the parser recurses
 # once per level, so the limit keeps it far from the interpreter's.
 MAX_NESTING = 100
 
 
-def sphere_surface(n: int) -> Surface:
-    """The n-punctured sphere; n outside 2..MAX_STRANDS is a PreconditionError."""
-    if n < 2:
-        raise PreconditionError("a sphere surface needs at least two punctures")
-    if n > MAX_STRANDS:
-        raise PreconditionError(
-            f"a sphere surface has at most {MAX_STRANDS} punctures")
-    return ("sphere", n)
-
-
-def parse_surface(text: str) -> Surface:
+def parse_surface(text: str) -> Word:
+    """The empty word of ``sphere:N`` (``BraidWord(N)``) or ``genus2``."""
     if text == "genus2":
-        return ("genus2",)
+        return TwistWord()
     if text.startswith("sphere:"):
         try:
             n = integer(text[len("sphere:"):])
         except WordSyntaxError:
             raise WordSyntaxError(f"bad strand count in surface {text!r}") from None
-        return sphere_surface(n)
+        return BraidWord(n)
     raise WordSyntaxError(f"unknown surface {text!r}; use sphere:N or genus2")
 
 
-def surface_label(surface: Surface) -> str:
-    return "genus2" if surface[0] == "genus2" else f"sphere:{surface[1]}"
+def surface_label(word: Word) -> str:
+    """The name parse_surface reads back: ``sphere:N`` or ``genus2``."""
+    return ":".join(map(str, word.surface))
 
 
 # After whitespace (the characters of str.isspace), a token is one
@@ -125,16 +115,12 @@ def _tokenize(text: str) -> list[tuple]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple], surface: Surface,
-                 budget: LetterBudget):
+    def __init__(self, tokens: list[tuple], group: Word, budget: LetterBudget):
         self.tokens = tokens
         self.pos = 0
         self.budget = budget
         self.depth = 0
-        if surface[0] == "sphere":
-            self.prefix, self.limit, self.alphabet = "s", surface[1] - 1, "sphere"
-        else:
-            self.prefix, self.limit, self.alphabet = "d", GENERATOR_COUNT, "genus-2"
+        self.prefix, self.limit = group.prefix, group.bound
 
     def take(self, kind: str):
         """The value of the next token, which must be of ``kind``."""
@@ -190,20 +176,23 @@ class _Parser:
 
     def _letter(self, position: int, head: str, index: int) -> int:
         if head != self.prefix:
+            alphabet = "sphere" if self.prefix == "s" else "genus-2"
             raise WordSyntaxError(
-                f"{self.alphabet} words use {self.prefix!r} generators", position)
+                f"{alphabet} words use {self.prefix!r} generators", position)
         if not 1 <= index <= self.limit:
             raise WordSyntaxError(
                 f"generator index {index} out of range 1..{self.limit}", position)
         return index
 
 
-def parse_word(text: str, surface: Surface,
+def parse_word(text: str, group: Word,
                budget: LetterBudget | None = None) -> Word:
-    """Parse word text for a surface into a fully expanded reduced word."""
+    """Parse text into a fully expanded reduced word of ``group``'s type
+    and group (its ``prefix`` and ``bound``; its letters are unread), for
+    a ``group`` that is a word, usually parse_surface's empty one."""
+    if not isinstance(group, Word):
+        raise PreconditionError("the group must be a word (a BraidWord or "
+                                f"TwistWord), not {type(group).__name__}")
     if budget is None:
         budget = LetterBudget()
-    letters = _Parser(_tokenize(text), surface, budget).parse_word(None)
-    if surface[0] == "sphere":
-        return BraidWord(surface[1], letters)
-    return TwistWord(letters)
+    return group._with(_Parser(_tokenize(text), group, budget).parse_word(None))

@@ -1,12 +1,15 @@
 """The conclusion rule: the status and legal basis that a surface and its
-checks support, read off the checks alone."""
+checks support, read off the checks alone; and the document, which reads
+its surface off the word."""
 
 import pytest
 
-from brunnian.certificate import conclude
+from brunnian import (BraidWord, LetterBudget, TwistWord, brunnian_check,
+                      membership_theorem12)
+from brunnian.certificate import conclude, document
 
-SPHERE = ("sphere", 6)
-GENUS2 = ("genus2",)
+SPHERE = BraidWord(6).surface
+GENUS2 = TwistWord().surface
 PA_11 = ("pseudo_anosov", "theorem-1.1")
 PA_12 = ("pseudo_anosov", "theorem-1.2")
 PA_CB = ("pseudo_anosov", "casson-bleiler")
@@ -68,3 +71,16 @@ CASES = {
                          ids=CASES.keys())
 def test_conclude(surface, checks, expected):
     assert conclude(surface, checks) == expected
+
+
+def test_document_reads_the_surface_off_the_word():
+    # The word is the only carrier of its surface: a sphere word cannot
+    # come out as a genus-2 certificate, nor the other way round.
+    braid = BraidWord(5, (4,))
+    doc = document(braid, brunnian_check(braid), LetterBudget())
+    assert (doc["surface"], doc["word"]) == ({"kind": "sphere", "n": 5}, "s4")
+    assert doc["conclusion"]["justification"] != "theorem-1.2"
+    twist = TwistWord((4,))
+    doc = document(twist, membership_theorem12(twist), LetterBudget(), "d4 ")
+    assert (doc["surface"], doc["word"], doc["input"]) == (
+        {"kind": "genus2"}, "d4", "d4 ")

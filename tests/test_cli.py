@@ -228,6 +228,17 @@ class TestExample:
         code, _, err = run(capsys, "example", "--n", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("example", "--n", "1001"), "a braid has at most 1000 strands"),
+        (("check", "--surface", "sphere:1001", "--word", "s1"),
+         "a braid has at most 1000 strands"),
+        (("check", "--surface", "sphere:1", "--word", "s1"),
+         "a braid needs at least two strands"),
+    ], ids=["example-1001", "sphere-1001", "sphere-1"])
+    def test_strand_count_refused_by_the_braid(self, capsys, argv, message):
+        # BraidWord's constructor holds the one strand-count rule.
+        assert run(capsys, *argv) == (2, "", f"precondition violated: {message}\n")
+
 
 def run_subprocess(*argv, env=(), **options):
     """The CLI in a fresh interpreter, so a hang or a memory blow-up is

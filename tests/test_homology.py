@@ -261,7 +261,7 @@ class TestRho:
     @pytest.mark.parametrize("q", ["3", None, 1, 2 ** 63],
                              ids=["str", "none", "one", "two-to-63"])
     def test_reduction_takes_a_modulus(self, q):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="modulus"):
             ModularMatrix(6, IDENTITY_ROWS).mod(q)
 
     def test_generator_sixth_powers_die_mod_3(self):
@@ -327,8 +327,8 @@ class TestRho:
         assert rho(BraidWord(4, (1, -3))) == rho(TwistWord((1, -3)))
 
     def test_modulus_outside_the_range_rejected(self):
-        for p in (1, 0, -3, 2 ** 63, 2 ** 89 - 1, 3.0, True):
-            with pytest.raises(PreconditionError):
+        for p in (1, 0, -3, 2 ** 63, 2 ** 89 - 1, 3.0, True, None, "3"):
+            with pytest.raises(PreconditionError, match="modulus"):
                 rho_mod(TwistWord((1,)), p)
 
     def test_modulus_checked_before_any_letter(self):
