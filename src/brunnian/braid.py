@@ -22,10 +22,21 @@ trivial exactly when its permutation is trivial and its action on the
 fundamental group is inner.  After that purity test one rule,
 ``_is_trivial_pure``, decides every pure word by exact stages, the
 first that decides giving the answer: collapse (the empty word and
-every pure word on three strands are trivial); homology (on six strands
-the letterwise genus-2 lift of a trivial word acts on integral homology
-as +-identity, the lift kernel being the identity and the hyperelliptic
-involution); engine (freegroup inner detection).
+every pure word on three strands are trivial); screen (below); engine
+(freegroup inner detection).
+
+The screen is the Burau representation at a primitive d-th root of
+unity t, with d = 2 for even n and d = n for odd n, over a prime field
+(see _burau_field).  As d divides n, it is the homology of the d-fold
+cyclic cover branched over the punctures (McMullen, Math. Ann. 2013):
+u = (1, t, ..., t^(n-1)) is fixed and lies in the sum-zero hyperplane
+H, and the kernel of B_n -> Mod(S_0,n), normally generated by
+s1...s_{n-1}s_{n-1}...s1 and the full twist, acts by scalars on H/<u>.
+So a trivial word maps a fixed v in H into span(v, u); a word that
+does not is nontrivial.  Burau is unfaithful from five strands up
+(Bigelow 1999), so the screen only proves nontriviality and passes the
+other words to the engine.  On six strands, t = -1, it reads the
+homology of the genus-2 lift.
 
 Brunnian membership
 -------------------
@@ -39,9 +50,10 @@ class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 from typing import Iterable, Optional
 
-from . import homology
 from .budget import LetterBudget, unless_aborted
 from .certificate import document
 from .errors import PreconditionError
@@ -209,22 +221,75 @@ def is_trivial_sphere(word: BraidWord,
         word, LetterBudget() if budget is None else budget)
 
 
-def _is_trivial_pure(word: BraidWord, budget: LetterBudget,
-                     lift: homology.ModularMatrix | None = None) -> bool:
+def _is_trivial_pure(word: BraidWord, budget: LetterBudget) -> bool:
     """Triviality of a word whose permutation is known to be trivial.
 
-    Runs collapse, homology and engine (see the module docstring);
-    ``lift``, when the caller already holds it, is rho_mod of the six-strand
-    word itself, read as its letterwise lift, modulo SCREEN_MODULUS.
+    Runs collapse, screen and engine (see the module docstring); only
+    the engine charges letters.
     """
     if not word.letters or word.n == 3:
         return True
-    if word.n == 6:
-        lift = lift or homology.rho_mod(word, homology.SCREEN_MODULUS)
-        if not (lift.is_identity or lift.is_neg_identity):
-            return False
+    if not _burau_passes(word):
+        return False
     table = _action_table(word.n, word.letters, budget)
     return _inner_conjugator(word.n - 1, table) is not None
+
+
+# ---------------------------------------------------------------------------
+# the root-of-unity Burau screen
+# ---------------------------------------------------------------------------
+
+# Miller-Rabin on the first twelve prime bases is exact below 3.18 * 10^23.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m: int) -> bool:
+    if m < 2 or any(m % q == 0 for q in _PRIME_BASES):
+        return m in _PRIME_BASES
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = e * 2^s with e odd
+    return all(pow(a, (m - 1) >> s, m) == 1 or any(
+        pow(a, (m - 1) >> s << k, m) == m - 1 for k in range(s))
+        for a in _PRIME_BASES)
+
+
+@cache
+def _burau_field(n: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """(p, t, v, u) for n strands.  p is the largest prime below 2^61
+    with p = 1 mod d, and t = g^((p-1)/d) for the least g >= 2 that gives
+    t order exactly d, so t = -1 when d = 2.  v lies in H and starts 1, 0,
+    so its minor with u on the first two coordinates is t; its other
+    entries iterate x -> x^2 + 1 from p // 3.  u = (1, t, ..., t^(n-1))."""
+    d = 2 if n % 2 == 0 else n
+    p = (2 ** 61 - 2) // d * d + 1
+    while not _is_prime(p):
+        p -= d
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in range(2, d + 1) if d % q == 0):
+        g += 1
+    t = pow(g, (p - 1) // d, p)
+    v = [1, 0, *accumulate(range(4, n), lambda x, _: (x * x + 1) % p, initial=p // 3)]
+    u = accumulate(range(1, n), lambda x, _: x * t % p, initial=1)
+    return p, t, (*v, -sum(v) % p), tuple(u)
+
+
+def _burau_passes(word: BraidWord) -> bool:
+    """False when the word's Burau image at t takes v out of span(v, u),
+    which proves the pure word nontrivial; one residue update per letter."""
+    p, t, v, u = _burau_field(word.n)
+    # Signed residues keep the products small when t = -1.
+    t, ti = (r - p if 2 * r > p else r for r in (t, pow(t, -1, p)))
+    s, si = 1 - t, 1 - ti
+    w = list(v)
+    for a in word.letters:
+        if a > 0:  # (w_i, w_i+1) -> ((1 - t) w_i + w_i+1, t w_i), i = a
+            x = w[a - 1]
+            w[a - 1], w[a] = (s * x + w[a]) % p, t * x % p
+        else:  # (w_i, w_i+1) -> (w_i+1 / t, w_i + (1 - 1/t) w_i+1), i = -a
+            y = w[-a]
+            w[-a - 1], w[-a] = ti * y % p, (w[-a - 1] + si * y) % p
+    b = w[1] * ti  # w = c v + b u, read off the first two coordinates
+    c = w[0] - b
+    return all((c * x + b * y - z) % p == 0 for x, y, z in zip(v, u, w))
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +319,10 @@ class BrunnianReport:
 
     @property
     def brunnian(self) -> Optional[bool]:
-        """The conjunction of the per-strand verdicts."""
-        return _fold_verdicts(self.per_strand)
-
-
-def _fold_verdicts(verdicts: Iterable[Optional[bool]]) -> Optional[bool]:
-    result: Optional[bool] = True
-    for v in verdicts:
-        if v is False:
-            return False
-        if v is None:
-            result = None
-    return result
+        """The three-valued conjunction of the per-strand verdicts: False
+        when one is False, else None when one is None."""
+        verdicts = self.per_strand
+        return False if False in verdicts else None if None in verdicts else True
 
 
 def _strand_verdicts(word: BraidWord, perm: Permutation,
@@ -293,8 +350,7 @@ def brunnian_check(word: BraidWord,
     """
     if word.n < 4:
         raise PreconditionError("Brunnian checks need at least four strands")
-    if budget is None:
-        budget = LetterBudget()
+    budget = LetterBudget() if budget is None else budget
     perm = word.permutation()
     per_strand = _strand_verdicts(word, perm, budget)
     trivial = perm.is_identity() and unless_aborted(_is_trivial_pure, word, budget)
@@ -312,8 +368,7 @@ def certify_pa_sphere(word: BraidWord,
     """
     if word.n < 5:
         raise PreconditionError("certification needs at least five punctures")
-    if budget is None:
-        budget = LetterBudget()
+    budget = LetterBudget() if budget is None else budget
     return document(word, brunnian_check(word, budget), budget, input_text)
 
 

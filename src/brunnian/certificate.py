@@ -16,6 +16,7 @@ produce byte-identical documents on any platform.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from typing import Any, Mapping, Sequence
 
 from .errors import PreconditionError
@@ -91,19 +92,9 @@ def render_letters(prefix: str, letters: Sequence[int]) -> str:
     same letter sequence.
     """
     parts = []
-    i = 0
-    n = len(letters)
-    while i < n:
-        a = letters[i]
-        j = i
-        while j < n and letters[j] == a:
-            j += 1
-        exp = (j - i) if a > 0 else -(j - i)
-        token = f"{prefix}{abs(a)}"
-        if exp != 1:
-            token += f"^{exp}"
-        parts.append(token)
-        i = j
+    for a, run in groupby(letters):
+        exp = len(list(run)) * (1 if a > 0 else -1)
+        parts.append(f"{prefix}{abs(a)}" + ("" if exp == 1 else f"^{exp}"))
     return " ".join(parts)
 
 

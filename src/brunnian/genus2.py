@@ -74,9 +74,9 @@ def involution_word() -> TwistWord:
 def _is_trivial(action: homology.ModularMatrix, projection: BraidWord,
                 perm: Permutation, budget: LetterBudget) -> bool:
     """Genus-2 triviality: the screened action is the identity and the
-    sphere rule, reading that action, finds the pure projection trivial."""
+    sphere rule finds the pure projection trivial."""
     return (action.is_identity and perm.is_identity()
-            and _is_trivial_pure(projection, budget, action))
+            and _is_trivial_pure(projection, budget))
 
 
 def is_trivial_genus2(word: TwistWord,
@@ -132,8 +132,7 @@ def certify_pa_genus2(word: TwistWord,
     certifies (the homological criterion), and anything else is
     undetermined.
     """
-    if budget is None:
-        budget = LetterBudget()
+    budget = LetterBudget() if budget is None else budget
     # Printed, so exact; an entry or coefficient too large to print is
     # refused here, before any engine work.
     action = homology.rho(word)

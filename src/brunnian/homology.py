@@ -141,10 +141,6 @@ class ModularMatrix:
     def is_identity(self) -> bool:
         return self.rows == _IDENTITY_ROWS
 
-    @property
-    def is_neg_identity(self) -> bool:
-        return self.rows == ModularMatrix(self.p, _NEG_IDENTITY_ROWS).rows
-
     def mod(self, q: int) -> "ModularMatrix":
         """The same matrix modulo q, a modulus (see _modulus) dividing p."""
         if self.p % _modulus(q):

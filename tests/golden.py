@@ -145,6 +145,12 @@ def corpus() -> list[list[str]]:
     runs.append(["example", "--n", "1001", "--json"])
     for surface in ("sphere:1001", "sphere:1"):
         runs.append(["check", "--surface", surface, "--word", "s1", "--json"])
+    # The Burau screen passes this word (each s_i^10 acts trivially on five
+    # strands), so the engine runs out of letters: the accounting after a
+    # budget abort stays pinned now that the flagship is decided.
+    for command in COMMANDS:
+        runs.append([command, "--max-letters", FLAGSHIP_CAP, "--surface", "sphere:5",
+                     "--word", "[s1^10,[s2^10,[s3^10,s4^10]]]", "--json"])
     return runs
 
 

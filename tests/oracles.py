@@ -5,9 +5,11 @@ rescan-until-fixpoint loop instead of a stack, automorphisms are
 composed by plain substitution followed by that reduction, triviality
 on the disk side is decided by direct comparison against a conjugation
 rather than by conjugator recovery, determinants come from the 24-term
-Leibniz sum and transvections from the intersection form.  The package
-is imported only for ``BraidWord``, to generate words.  Disagreement
-between these and the package is a test failure, not a tie to be broken.
+Leibniz sum, transvections from the intersection form, and Burau
+matrices are whole matrices multiplied by 2x2 blocks, inverted by the
+adjugate.  The package is imported only for ``BraidWord``, to generate
+words.  Disagreement between these and the package is a test failure,
+not a tie to be broken.
 
 An automorphism of the free group of rank r is a tuple of r reduced
 words, entry i - 1 being the image of x_i.  The engine's tables have
@@ -222,6 +224,50 @@ def divides_x_power_minus_one(coefficients, m):
 
 # ---------------------------------------------------------------------------
 # seeded word generators
+# ---------------------------------------------------------------------------
+# the unreduced Burau representation over a prime field
+# ---------------------------------------------------------------------------
+
+def burau_block(letter, t, p):
+    """The 2x2 block B of s_i at columns i, i+1, row vectors (x, y) -> (x, y) B;
+    the inverse letter's block is B^-1 by the adjugate."""
+    (a, b), (c, d) = ((1 - t) % p, t), (1, 0)
+    if letter > 0:
+        return (a, b), (c, d)
+    det_inv = pow((a * d - b * c) % p, -1, p)
+    return ((d * det_inv % p, -b * det_inv % p),
+            (-c * det_inv % p, a * det_inv % p))
+
+
+def burau_rows(n, letters, t, p):
+    """Rows of the full n x n Burau matrix of a letter sequence, the
+    letters' matrices multiplied left to right; each letter combines two
+    columns of the product so far."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for a in letters:
+        (b11, b12), (b21, b22) = burau_block(a, t, p)
+        x, y = cols[abs(a) - 1], cols[abs(a)]
+        cols[abs(a) - 1] = [(u * b11 + v * b21) % p for u, v in zip(x, y)]
+        cols[abs(a)] = [(u * b12 + v * b22) % p for u, v in zip(x, y)]
+    return [list(row) for row in zip(*cols)]
+
+
+def scalar_on_quotient(rows, u, p):
+    """The scalar c by which a matrix acts on H/<u>, H the sum-zero
+    hyperplane and u[0] = 1, or None when it acts by none: f_j M - c f_j
+    must be a multiple of u for every f_j = e_j - e_{j+1}."""
+    n = len(rows)
+    images = [[(x - y) % p for x, y in zip(rows[j], rows[j + 1])]
+              for j in range(n - 1)]
+    last = images[-1]  # f_{n-1} is 0 at coordinate 0 and 1 at n - 2
+    c = (last[n - 2] - last[0] * u[n - 2]) % p
+    for j, g in enumerate(images):
+        g[j], g[j + 1] = g[j] - c, g[j + 1] + c
+        if any((g[k] - g[0] * u[k]) % p for k in range(n)):
+            return None
+    return c
+
+
 # ---------------------------------------------------------------------------
 
 def random_letters(rng, rank, length):

@@ -37,6 +37,17 @@ def full_twist(n):
     return braid(n, list(range(1, n)) * n)
 
 
+def screen_blind_commutator():
+    """[s1^10, [s2^10, [s3^10, s4^10]]] on five strands.  At a fifth root
+    of unity t each s_i^10 has Burau image the identity (s_i has
+    eigenvalues 1 and -t), so the screen passes the word to the engine,
+    which outgrows a small cap; its removals collapse like the example's."""
+    word = braid(5, (4,) * 10)
+    for i in (3, 2, 1):
+        word = commutator(braid(5, (i,) * 10), word)
+    return word
+
+
 def action(n, letters):
     """The engine's action table of a letter sequence, unpacked to tuples."""
     return tuple(oracles.unpack(n - 1, image)
@@ -375,11 +386,12 @@ class TestIsTrivialSphere:
 
     def test_budget_abort_raises(self):
         with pytest.raises(LetterBudgetExceeded):
-            is_trivial_sphere(brunnian_example(5), LetterBudget(50_000))
+            is_trivial_sphere(screen_blind_commutator(), LetterBudget(50_000))
 
     # (s1 s2^-1)^10500 is pure (a 3-cycle to a power divisible by three)
     # and its lift has entries of about 14,579 bits, past the bound of
-    # homology.rho; the homology stage screens it modulo a prime instead.
+    # homology.rho; the screen, at t = -1 the homology of that lift on six
+    # strands, reads it modulo a prime instead.
     LONG_POWER = (1, -2) * 10500
 
     def test_long_six_strand_words_are_decided_by_homology(self):
@@ -391,8 +403,8 @@ class TestIsTrivialSphere:
         assert budget.used == 0
 
     def test_long_words_acting_as_minus_identity_reach_the_engine(self):
-        # The conjugated relation word is trivial and its lift acts as -I,
-        # so the screen passes it on and the engine runs out of letters.
+        # The conjugated relation word is trivial, so the screen passes it
+        # on and the engine runs out of letters.
         word = braid(6, self.LONG_POWER + relation_word(6).letters
                      + oracles.inverse(self.LONG_POWER))
         with pytest.raises(LetterBudgetExceeded):
@@ -474,7 +486,7 @@ class TestBrunnian:
             assert report.trivial is False
 
     def test_budget_abort_reports_none(self):
-        word = brunnian_example(5)
+        word = screen_blind_commutator()
         report = brunnian_check(word, LetterBudget(100_000))
         assert report.per_strand == (True,) * 5  # removals collapse, no cost
         assert report.trivial is None
@@ -528,23 +540,25 @@ class TestCertifySphere:
         assert cert["conclusion"]["status"] == "undetermined"
 
     def test_budget_abort_stays_undetermined(self):
-        # Without the six-strand homology stage the engine cannot decide
-        # nontriviality of the five-strand example inside a small budget;
-        # the certificate must admit that instead of guessing.
-        cert = certify_pa_sphere(brunnian_example(5), LetterBudget(100_000))
+        # The screen passes the word and the engine cannot decide it
+        # inside a small budget; the certificate must admit that instead
+        # of guessing.
+        cert = certify_pa_sphere(screen_blind_commutator(), LetterBudget(100_000))
         assert cert["conclusion"]["status"] == "undetermined"
         assert cert["resources"]["aborted"] is True
         assert cert["checks"]["trivial"] is None
         assert cert["checks"]["brunnian"] is True
 
-    def test_five_strand_example_undetermined_at_default_budget(self):
-        # The default cap is also not enough for the five-strand example;
-        # its Brunnian side still passes, only nontriviality stays open.
+    def test_five_strand_example_decided_at_default_budget(self):
+        # The Burau screen proves the example nontrivial without the
+        # engine, so no letter is charged.
         cert = certify_pa_sphere(brunnian_example(5))
-        assert cert["conclusion"]["status"] == "undetermined"
-        assert cert["resources"]["aborted"] is True
+        assert cert["conclusion"] == {"status": "pseudo_anosov",
+                                      "justification": "theorem-1.1"}
+        assert cert["resources"]["aborted"] is False
+        assert cert["resources"]["letters_used"] == 0
         assert cert["checks"]["brunnian_per_strand"] == [True] * 5
-        assert cert["checks"]["trivial"] is None
+        assert cert["checks"]["trivial"] is False
 
     def test_small_sphere_rejected(self):
         with pytest.raises(PreconditionError):

@@ -3,8 +3,9 @@
 ``data/golden.json`` (written by ``golden.py``) lists CLI invocations
 with the exit code and the exact stdout each one produced.  The corpus
 covers ``check``, ``brunnian`` and ``certify`` on the nested-commutator
-flagship at a 30000-letter cap (so the accounting after a budget abort
-is pinned), full twists, powers of the genus-2 chain and of the
+flagship at a 30000-letter cap, and at the same cap on a five-strand
+commutator of tenth powers that the Burau screen passes (so the
+accounting after a budget abort is pinned), full twists, powers of the genus-2 chain and of the
 hyperelliptic involution, and seeded random pure sphere words and
 genus-2 words.  It also pins ``project`` (the genus-2 flagship and a
 seeded random twist word), ``homology`` exact and modulo 3, 7 and

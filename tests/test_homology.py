@@ -143,7 +143,8 @@ class TestModularMatrix:
         m = ModularMatrix(3, ((4, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -5)))
         assert m.rows == IDENTITY_ROWS
         assert m.is_identity
-        assert ModularMatrix(3, NEG_IDENTITY_ROWS).is_neg_identity
+        assert ModularMatrix(3, NEG_IDENTITY_ROWS).rows == tuple(
+            tuple(2 * x for x in row) for row in IDENTITY_ROWS)
         assert ModularMatrix(7, NEG_IDENTITY_ROWS).rows[0] == (6, 0, 0, 0)
 
     @pytest.mark.parametrize("p, rows", [
@@ -272,8 +273,8 @@ class TestRho:
         assert not rho_mod(INVOLUTION, 3).is_identity
 
     def test_involution_is_minus_identity_mod_3(self):
-        assert rho_mod(INVOLUTION, 3).is_neg_identity
-        assert not rho_mod(TwistWord(), 3).is_neg_identity
+        assert rho_mod(INVOLUTION, 3) == ModularMatrix(3, NEG_IDENTITY_ROWS)
+        assert rho_mod(TwistWord(), 3) != ModularMatrix(3, NEG_IDENTITY_ROWS)
 
     def test_mod_reduction_is_never_refused(self):
         # Exact at 13,885 bits; beyond the bound only the reduced action

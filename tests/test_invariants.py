@@ -9,10 +9,10 @@
   only by ``certify``, which prints it, and before any engine work, so
   a number too large to print is refused without running the engine.
 * ``certificate.conclude`` runs once per ``certify`` call.
-* The six-puncture homology stage is internal: no public function
-  takes a precomputed homology action.
+* No sphere triviality function takes a precomputed homology action:
+  the Burau screen reads the word itself.
 * A word or strand removal that collapses to the empty word is decided
-  without the free-group engine or the homology stage.
+  without the free-group engine or a homology pass.
 * The library example in README.md runs.
 * The test oracles share no code with the package: ``tests/oracles.py``
   imports nothing from it but ``BraidWord``, which only generates words.
@@ -121,17 +121,19 @@ def test_no_engine_run_on_words_that_collapse(action_table_sizes, command):
 
 def test_no_homology_run_on_empty_six_strand_removals(rho_calls):
     # Every removal of the seven-strand flagship is the empty six-strand
-    # word; the word itself is left to the engine, which aborts here.
+    # word; the Burau screen proves the word itself nontrivial.
     code, doc = _run_json(["brunnian", "--surface", "sphere:7", "--word",
                            "[s1^6,[s2^6,[s3^6,[s4^6,[s5^6,s6^6]]]]]",
                            "--max-letters", "100000"])
-    assert code == 3
+    assert code == 0
     assert doc["per_strand"] == [True] * 7
+    assert (doc["brunnian"], doc["trivial"]) == (True, False)
     assert rho_calls == []
 
 
 @pytest.mark.parametrize("function", [brunnian.is_trivial_sphere,
-                                      brunnian.brunnian_check])
+                                      brunnian.brunnian_check,
+                                      braid._is_trivial_pure])
 def test_no_homology_lift_parameter(function):
     assert "lift" not in inspect.signature(function).parameters
 
