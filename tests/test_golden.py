@@ -5,7 +5,9 @@ with the exit code and the exact stdout each one produced.  The corpus
 covers ``check``, ``brunnian`` and ``certify`` on the nested-commutator
 flagship at a 30000-letter cap, and at the same cap on a five-strand
 commutator of tenth powers that the Burau screen passes (so the
-accounting after a budget abort is pinned), full twists, powers of the genus-2 chain and of the
+accounting after a budget abort is pinned), at caps of 40 and 30 on
+words whose later strands still try the engine after the first abort,
+full twists, powers of the genus-2 chain and of the
 hyperelliptic involution, and seeded random pure sphere words and
 genus-2 words.  It also pins ``project`` (the genus-2 flagship and a
 seeded random twist word), ``homology`` exact and modulo 3, 7 and
