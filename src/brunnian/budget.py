@@ -1,12 +1,14 @@
-"""Letter budget shared by the free-group and braid engines.
+"""The letter budget: one cap on the letters a computation may produce.
 
 Substituting a braid word into the fundamental-group action can grow
 exponentially in the word length, so every substitution charges the
-number of letters it produces against a per-computation budget.  When
+number of letters it produces against a per-computation budget.
+Amounts are charged one at a time, before the work they pay for.  When
 the cap is crossed the computation aborts with LetterBudgetExceeded and
-the budget stays latched as exhausted; callers that report verdicts
-in-band translate the abort into an "undetermined" outcome instead of
-guessing.
+the budget stays latched as exhausted: every later charge raises again
+and adds nothing, so ``used`` stops at the amount that crossed the cap.
+Callers that report verdicts in-band translate the abort into an
+"undetermined" outcome instead of guessing.
 
 Linear-cost word operations (reduction, concatenation, inversion,
 strand removal) and the per-strand tables are not charged: they are
@@ -41,9 +43,10 @@ class LetterBudget:
         self.exhausted = False
 
     def charge(self, amount: int) -> None:
-        self.used += amount
-        if self.used > self.cap:
-            self.exhausted = True
+        if not self.exhausted:
+            self.used += amount
+            self.exhausted = self.used > self.cap
+        if self.exhausted:
             raise LetterBudgetExceeded(
                 f"letter budget exceeded: {self.used} > cap {self.cap}"
             )

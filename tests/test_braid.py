@@ -256,6 +256,17 @@ class TestLetterCap:
         assert (budget.cap, budget.used, budget.exhausted) == (cap, 0, False)
 
 
+    def test_an_exhausted_budget_charges_nothing_more(self):
+        budget = LetterBudget(10)
+        budget.charge(4)
+        with pytest.raises(LetterBudgetExceeded):
+            budget.charge(9)
+        for amount in (0, 1, 5):
+            with pytest.raises(LetterBudgetExceeded):
+                budget.charge(amount)
+        assert (budget.used, budget.exhausted) == (13, True)
+
+
 class ChargeLog:
     """A budget without a cap that records every charge."""
 

@@ -207,6 +207,23 @@ class TestCertify:
         assert out.strip() == "status=pseudo_anosov justification=theorem-1.2"
 
 
+class TestAbortAccounting:
+    # The first strand's engine run crosses the cap; later strands and the
+    # word itself still try the engine, but an exhausted budget charges
+    # nothing more, so letters_used stops at the amount that crossed.
+    @pytest.mark.parametrize("command, surface, word, cap, used", [
+        ("brunnian", "sphere:6", f"({RELATION})^3", "40", 42),
+        ("certify", "sphere:6", f"({RELATION})^3", "40", 42),
+        ("brunnian", "genus2", f"({RELATION.replace('s', 'd')})^2", "30", 32),
+    ])
+    def test_nothing_is_charged_after_the_first_abort(
+            self, capsys, command, surface, word, cap, used):
+        code, doc, _ = run_json(capsys, command, "--surface", surface,
+                                "--word", word, "--max-letters", cap)
+        assert code == 3
+        assert doc.get("resources", doc)["letters_used"] == used
+
+
 class TestExample:
     def test_sphere_example(self, capsys):
         code, doc, _ = run_json(capsys, "example", "--n", "5")
