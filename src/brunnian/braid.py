@@ -177,27 +177,28 @@ def _action_table(n: int, letters: Iterable[int],
     for x_i and copies the old image of x_i into x_{i+1}, s_i^-1 the
     mirror, and s_{n-1} is the same step on x_{n-1} and x_n.  The
     substitution is one conjugation, reduced at its two seams.  Each
-    step charges the lengths of the images its defining word over
-    x_1..x_{n-1} substitutes, in that word's order, with one
-    ``charge_each`` call; for s_{n-1} that word names all n - 1
-    generators.  The uncharged upkeep of x_n costs no more than the
+    step charges, one by one and in order, the lengths of the images
+    its defining word over x_1..x_{n-1} substitutes (for s_{n-1}, all
+    n - 1 of them).  The uncharged upkeep of x_n costs no more than the
     letters charged, since x_n is a product of the other images.
     """
     r = n - 1
     flip = _inverse_table(r)
     images = [_pack(r, (i,)) for i in range(1, r + 1)]
     images.append(_pack(r, range(-r, 0)))  # x_n = x_{n-1}^-1 ... x_1^-1
-    charge = budget.charge_each
+    charge = budget.charge
     for a in letters:
         i = abs(a)
         x, y = images[i - 1], images[i]
         if i == r:  # the defining word runs through x_1..x_{n-1}
-            charge([len(w) for w in reversed(images[:r - 1])] + [len(x)]
-                   if a > 0 else [len(w) for w in reversed(images[:r])])
-        elif a > 0:  # x_i x_{i+1} x_i^-1
-            charge((len(x), len(y), len(x)))
-        else:  # x_{i+1}^-1 x_i x_{i+1}
-            charge((len(y), len(x), len(y)))
+            for w in ([*reversed(images[:r - 1]), x] if a > 0
+                      else reversed(images[:r])):
+                charge(len(w))
+        else:  # x_i x_{i+1} x_i^-1, or x_{i+1}^-1 x_i x_{i+1}
+            outer, inner = (len(x), len(y)) if a > 0 else (len(y), len(x))
+            charge(outer)
+            charge(inner)
+            charge(outer)
         if a > 0:
             images[i - 1], images[i] = _conjugate(x, x[::-1].translate(flip), y), x
         else:

@@ -2,13 +2,12 @@
 
 Substituting a braid word into the fundamental-group action can grow
 exponentially in the word length, so every substitution charges the
-number of letters it produces against a per-computation budget.
-Amounts are charged one at a time, before the work they pay for.  When
-the cap is crossed the computation aborts with LetterBudgetExceeded and
-the budget stays latched as exhausted: every later charge raises again
-and adds nothing, so ``used`` stops at the amount that crossed the cap.
-Callers that report verdicts in-band translate the abort into an
-"undetermined" outcome instead of guessing.
+number of letters it produces against a per-computation budget, one
+amount at a time and before the work it pays for.  Crossing the cap
+aborts the computation with LetterBudgetExceeded and latches the budget
+as exhausted: later charges raise again and add nothing.  Callers that
+report verdicts in-band translate the abort into an "undetermined"
+outcome instead of guessing.
 
 Linear-cost word operations (reduction, concatenation, inversion,
 strand removal) and the per-strand tables are not charged: they are
@@ -16,8 +15,6 @@ bounded by the word and by the strand count, which BraidWord caps at
 braid.MAX_STRANDS.  Substitution output counts, as do the parser's expansion
 of powers and commutators and the word the ``example`` command builds.
 """
-
-from typing import Sequence
 
 from .errors import LetterBudgetExceeded, PreconditionError
 
@@ -45,25 +42,11 @@ class LetterBudget:
     def charge(self, amount: int) -> None:
         if not self.exhausted:
             self.used += amount
-            self.exhausted = self.used > self.cap
-        if self.exhausted:
+        if self.used > self.cap:
+            self.exhausted = True
             raise LetterBudgetExceeded(
                 f"letter budget exceeded: {self.used} > cap {self.cap}"
             )
-
-    def charge_each(self, amounts: Sequence[int]) -> None:
-        """Charge the amounts in order, as one call.
-
-        Within the cap this is one addition; a total that would cross
-        it is charged amount by amount, so the abort comes at the same
-        point, with the same ``used``, as separate charges would give.
-        """
-        used = self.used + sum(amounts)
-        if used <= self.cap:
-            self.used = used
-        else:
-            for amount in amounts:
-                self.charge(amount)
 
     def __repr__(self) -> str:
         return f"LetterBudget(used={self.used}, cap={self.cap})"

@@ -10,9 +10,11 @@ The engine behind the mapping-class word problem keeps its words
 packed: a word of rank r is a ``str`` with letter a stored as
 ``chr(r + a)``.  Inverses are a reversal and a ``str.translate``, and a
 product is reduced at its seam by galloping slice comparisons, so
-copying, inverting and cancelling never loop per letter in Python.  An
-automorphism exists only as its table of packed generator images,
-``images[i-1]`` being the image of ``x_i``.
+copying, inverting and cancelling never loop per letter in Python.
+One scanner finds common prefixes; a common suffix is scanned as the
+common prefix of the reversed words.  An automorphism exists only as
+its table of packed generator images, ``images[i-1]`` being the image
+of ``x_i``.
 
 The inner-automorphism detector is the triviality test behind the
 mapping-class word problem: for rank at least two a free group has
@@ -97,38 +99,14 @@ def _common_prefix(s: str, t: str) -> int:
     return k
 
 
-def _common_suffix(s: str, t: str) -> int:
-    """Length of the longest common suffix of s and t, whose last letters
-    are known to agree; _common_prefix read from the right."""
-    ls, lt = len(s), len(t)
-    n = min(ls, lt)
-    scan, k = min(n, _SCAN), 1
-    while k < scan:
-        if s[~k] != t[~k]:
-            return k
-        k += 1
-    step = k
-    while k < n:
-        hi = min(k + step, n)
-        if s[ls - hi:ls - k] != t[lt - hi:lt - k]:
-            while hi - k > 1:
-                mid = (k + hi) // 2
-                if s[ls - mid:ls - k] == t[lt - mid:lt - k]:
-                    k = mid
-                else:
-                    hi = mid
-            return k
-        k, step = hi, 2 * step
-    return k
-
-
 def _product(u: str, v: str, v_inv: str) -> str:
     """The reduced word of u v, for reduced packed u, v and v_inv = v^-1.
 
     The letters cancelled at the seam are the longest common suffix of
     u and v^-1; the seam helper runs only when the last letters cancel.
     """
-    k = _common_suffix(u, v_inv) if u and v_inv and u[-1] == v_inv[-1] else 0
+    k = (_common_prefix(u[::-1], v_inv[::-1])
+         if u and v_inv and u[-1] == v_inv[-1] else 0)
     return u[:len(u) - k] + v[k:]
 
 
@@ -141,12 +119,6 @@ def _conjugate(a: str, a_inv: str, x: str) -> str:
     """
     k = _common_prefix(a_inv, x) if a_inv and x and a_inv[0] == x[0] else 0
     return _product(a[:len(a) - k] + x[k:], a_inv, a)
-
-
-def _cyclic_prefix(s: str, s_inv: str) -> int:
-    """Length of p in s = p core p^-1 with core cyclically reduced, for
-    reduced packed s and s_inv = s^-1: their longest common prefix."""
-    return _common_prefix(s, s_inv) if s and s[0] == s_inv[0] else 0
 
 
 def _inner_conjugator(rank: int, images: Sequence[str]) -> Optional[str]:
@@ -162,7 +134,8 @@ def _inner_conjugator(rank: int, images: Sequence[str]) -> Optional[str]:
     flip = _inverse_table(rank)
     x1, x1_inv, x2 = chr(rank + 1), chr(rank - 1), chr(rank + 2)
     s = images[0]
-    k = _cyclic_prefix(s, s[::-1].translate(flip))
+    s_inv = s[::-1].translate(flip)
+    k = _common_prefix(s, s_inv) if s and s[0] == s_inv[0] else 0
     if len(s) != 2 * k + 1 or s[k] != x1:  # the core must be x_1
         return None
     p, p_inv = s[:k], s[k + 1:]

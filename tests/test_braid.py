@@ -277,16 +277,6 @@ class ChargeLog:
         self.amounts.append(amount)
 
 
-def charge_outcome(charge, cap, amounts):
-    """(raised, used, exhausted) after charging the amounts under a cap."""
-    budget = LetterBudget(cap)
-    try:
-        charge(budget, amounts)
-    except LetterBudgetExceeded:
-        return True, budget.used, budget.exhausted
-    return False, budget.used, budget.exhausted
-
-
 class TestChargeDifferential:
     """_action_table against the oracle's substitution, which charges one
     image at a time: the same images, the same abort and the same
@@ -350,18 +340,12 @@ class TestChargeDifferential:
                     used.append(budget.used)
                 assert used[0] == used[1]
 
-    def test_charge_each_matches_separate_charges(self):
-        def separately(budget, amounts):
-            for amount in amounts:
-                budget.charge(amount)
-
-        def at_once(budget, amounts):
-            budget.charge_each(amounts)
-
-        for amounts in ((), (7,), (3, 5, 3), (1, 1, 1, 1), (2, 9, 4, 1, 6)):
-            for cap in range(1, sum(amounts) + 3):
-                assert charge_outcome(at_once, cap, amounts) \
-                    == charge_outcome(separately, cap, amounts)
+    def test_one_charge_per_substituted_image(self):
+        # A budget with nothing but ``charge`` sees the oracle's amounts.
+        for n, letters, _, amounts in self.cases():
+            log = ChargeLog()
+            _action_table(n, letters, log)
+            assert tuple(log.amounts) == amounts
 
 
 class TestIsTrivialSphere:

@@ -2,6 +2,8 @@
 
 * Internal invariants are checked by code that ``python -O`` keeps:
   the package source holds no ``assert`` statement.
+* Letters are spent on one path: only ``LetterBudget.__init__`` and
+  ``LetterBudget.charge`` assign an attribute named ``used``.
 * A genus-2 ``check``, ``brunnian`` or ``certify`` makes exactly one
   homology pass, and runs the free-group engine on the projection only
   when that action is the identity.  Verdicts read the action modulo
@@ -47,6 +49,30 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _attribute_writes(node, attr, scope=()):
+    """The enclosing class and function names of each assignment or
+    augmented assignment to an attribute named ``attr`` under ``node``."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    targets = (node.targets if isinstance(node, ast.Assign) else
+               [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+               else [])
+    found = [".".join(scope) for target in targets for sub in ast.walk(target)
+             if isinstance(sub, ast.Attribute) and sub.attr == attr]
+    for child in ast.iter_child_nodes(node):
+        found += _attribute_writes(child, attr, scope)
+    return found
+
+
+def test_only_the_budget_writes_used():
+    writers = {f"{path.name}:{scope}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for scope in _attribute_writes(
+                   ast.parse(path.read_text(), str(path)), "used")}
+    assert writers == {"budget.py:LetterBudget.__init__",
+                       "budget.py:LetterBudget.charge"}
 
 
 def _replace_everywhere(monkeypatch, original, wrapper):
