@@ -8,6 +8,8 @@
 * That it is sound in practice and strong enough: no word the engine
   proves trivial is stopped, the nontrivial ones of a seeded sample
   are, and the flagship is decided at n = 5..9 with no engine letters.
+* That on a genus-2 projection it passes every word whose homology
+  action is I or -I, as in a seeded sample of such words.
 """
 
 import contextlib
@@ -19,7 +21,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from brunnian import BraidWord, LetterBudget, brunnian_example, parse_surface, parse_word
+from brunnian import (BraidWord, LetterBudget, ModularMatrix, TwistWord,
+                      brunnian_example, genus2, homology, involution_word,
+                      parse_surface, parse_word)
 from brunnian.braid import (_action_table, _burau_field, _burau_passes,
                             _inner_conjugator, _is_prime, _is_trivial_pure)
 from brunnian.budget import unless_aborted
@@ -199,3 +203,27 @@ def test_flagship_decided_with_no_engine_letters(n):
     used = [docs["check"]["letters_used"], docs["brunnian"]["letters_used"],
             docs["certify"]["resources"]["letters_used"]]
     assert used == [charge.used] * 3
+
+
+def test_genus2_projection_passes_when_homology_is_plus_or_minus_identity():
+    # Genus-2 commands screen the projection only after the homology action
+    # is the identity; at t = -1 on six strands the screen reads that same
+    # homology.  Products of conjugates of the separating twist (d1 d2)^6
+    # act as I, and with the involution appended as -I.
+    rng = random.Random(2024)
+    p = 2 ** 61 - 1
+    identity = ModularMatrix(p, [[int(i == j) for j in range(4)] for i in range(4)])
+    minus_identity = ModularMatrix(p, [[-x for x in row] for row in identity.rows])
+    separating = TwistWord((1, 2) * 6)
+    actions = []
+    for _ in range(60):
+        w = TwistWord()
+        for _ in range(rng.randint(1, 3)):
+            c = TwistWord(oracles.random_letters(rng, 5, rng.randint(0, 12)))
+            w = w * c * separating.power(rng.choice((1, -1))) * c.invert()
+        if rng.random() < 0.5:
+            w = w * involution_word()
+        actions.append(homology.rho_mod(w, p))
+        assert actions[-1] in (identity, minus_identity)
+        assert _burau_passes(genus2.project(w))
+    assert identity in actions and minus_identity in actions
