@@ -23,8 +23,6 @@ from .genus2 import (
     project,
 )
 from .homology import (
-    ModularMatrix,
-    SymplecticMatrix,
     casson_bleiler,
     charpoly,
     rho,
@@ -40,10 +38,8 @@ __all__ = [
     "DEFAULT_LETTER_CAP",
     "LetterBudget",
     "LetterBudgetExceeded",
-    "ModularMatrix",
     "Permutation",
     "PreconditionError",
-    "SymplecticMatrix",
     "TwistWord",
     "WordSyntaxError",
     "brunnian_check",

@@ -23,7 +23,7 @@ fundamental group is inner.  After that purity test one rule,
 ``_is_trivial_pure``, decides every pure word by exact stages, the
 first that decides giving the answer: collapse (the empty word and
 every pure word on three strands are trivial); screen (below); engine
-(freegroup inner detection).
+(``_is_inner``, freegroup inner detection).
 
 The screen is the Burau representation at a primitive d-th root of
 unity t, with d = 2 for even n and d = n for odd n, over a prime field
@@ -36,7 +36,8 @@ So a trivial word maps a fixed v in H into span(v, u); a word that
 does not is nontrivial.  Burau is unfaithful from five strands up
 (Bigelow 1999), so the screen only proves nontriviality and passes the
 other words to the engine.  On six strands, t = -1, it reads the
-homology of the genus-2 lift.
+homology of the genus-2 lift, which genus 2 has read already, so its
+projections skip the screen.
 
 Brunnian membership
 -------------------
@@ -44,7 +45,7 @@ Forgetting a strand is realised on words by a left-to-right sweep that
 tracks the geometric position of the forgotten strand, drops every
 crossing adjacent to it and shifts higher indices down.  A word is
 Brunnian when every single-strand removal yields a trivial mapping
-class.
+class; a budget abort leaves the strands after it undecided.
 """
 
 from __future__ import annotations
@@ -230,8 +231,12 @@ def _is_trivial_pure(word: BraidWord, budget: LetterBudget) -> bool:
     """
     if not word.letters or word.n == 3:
         return True
-    if not _burau_passes(word):
-        return False
+    return _burau_passes(word) and _is_inner(word, budget)
+
+
+def _is_inner(word: BraidWord, budget: LetterBudget) -> bool:
+    """The engine: whether the word's action on the fundamental group is
+    inner, which for a pure word on n >= 4 strands is its triviality."""
     table = _action_table(word.n, word.letters, budget)
     return _inner_conjugator(word.n - 1, table) is not None
 
@@ -333,13 +338,14 @@ def _strand_verdicts(word: BraidWord, perm: Permutation,
     A word with a nontrivial permutation is immediately not Brunnian:
     moved strands report False, fixed strands stay unevaluated.
     Forgetting a strand of a pure word leaves a pure word, so no removal
-    recomputes a permutation.
+    recomputes a permutation.  Once the budget is exhausted the sweep
+    stops: the remaining strands stay None, with no removal built.
     """
     n = word.n
     if not perm.is_identity():
         return tuple(None if perm.fixes(i) else False for i in range(1, n + 1))
-    return tuple(unless_aborted(_is_trivial_pure, word.remove_strand(i), budget)
-                 for i in range(1, n + 1))
+    return tuple(None if budget.exhausted else unless_aborted(
+        _is_trivial_pure, word.remove_strand(i), budget) for i in range(1, n + 1))
 
 
 def brunnian_check(word: BraidWord,

@@ -176,16 +176,16 @@ def _cmd_homology(args) -> int:
     _, _, word = _read(args, default="genus2")
     if args.mod is None:
         matrix = homology.rho(word)
-        rows = [[_decimal(x) for x in row] for row in matrix.rows]
+        rows = [[_decimal(x) for x in row] for row in matrix]
         entries = {"matrix": rows, "charpoly": [
             _decimal(c) for c in homology.charpoly(matrix)]}
     else:
         # Entries are below the modulus, so they print as 64-bit integers.
         matrix = homology.rho_mod(word, args.mod)
-        rows = [[str(x) for x in row] for row in matrix.rows]
-        entries = {"matrix": [list(row) for row in matrix.rows]}
+        rows = [[str(x) for x in row] for row in matrix]
+        entries = {"matrix": [list(row) for row in matrix]}
     doc = {"surface": surface_label(word), "word": render_word(word),
-           "mod": args.mod, **entries, "identity": matrix.is_identity}
+           "mod": args.mod, **entries, "identity": matrix == homology.IDENTITY}
     human = "\n".join(" ".join(row) for row in rows)
     _emit(args, doc, human)
     return 0

@@ -8,8 +8,10 @@ hyperelliptic involution, whose homology action is minus the identity.
 A twist word is therefore trivial exactly when its projection is
 trivial on the sphere and its integral homology action is the identity;
 the homology side separates the identity from the involution, modulo
-any odd modulus too, so verdicts read rho_mod(word, SCREEN_MODULUS);
-certificates compute the exact action, which they print.
+any odd modulus too, so verdicts compare rho_mod(word, SCREEN_MODULUS)
+with homology.IDENTITY and certificates print the exact rows.  No Burau
+screen runs on the projection: on six strands it reads this same
+homology, so it would always pass after the identity test.
 
 The involution is represented by the standard palindromic word
 D1 D2 D3 D4 D5 D5 D4 D3 D2 D1.  The word itself is never trusted: both
@@ -27,7 +29,7 @@ from .braid import (
     BraidWord,
     BrunnianReport,
     Permutation,
-    _is_trivial_pure,
+    _is_inner,
     _strand_verdicts,
     is_trivial_sphere,
 )
@@ -64,19 +66,19 @@ def involution_word() -> TwistWord:
     check caches nothing.
     """
     word = TwistWord((1, 2, 3, 4, 5, 5, 4, 3, 2, 1))
-    if not homology.rho(word).is_neg_identity:
+    if homology.rho(word) != homology.NEG_IDENTITY:
         raise AssertionError("involution word must act as -I on homology")
     if not is_trivial_sphere(project(word)):
         raise AssertionError("involution word must project to a trivial class")
     return word
 
 
-def _is_trivial(action: homology.ModularMatrix, projection: BraidWord,
+def _is_trivial(action: homology.Rows, projection: BraidWord,
                 perm: Permutation, budget: LetterBudget) -> bool:
     """Genus-2 triviality: the screened action is the identity and the
-    sphere rule finds the pure projection trivial."""
-    return (action.is_identity and perm.is_identity()
-            and _is_trivial_pure(projection, budget))
+    pure projection is empty or the engine finds its action inner."""
+    return (action == homology.IDENTITY and perm.is_identity()
+            and (not projection.letters or _is_inner(projection, budget)))
 
 
 def is_trivial_genus2(word: TwistWord,
@@ -110,7 +112,7 @@ def membership_theorem12(word: TwistWord,
                        LetterBudget() if budget is None else budget)
 
 
-def _membership(word: TwistWord, action: homology.ModularMatrix,
+def _membership(word: TwistWord, action: homology.Rows,
                 budget: LetterBudget) -> BrunnianReport:
     """membership_theorem12 with the word's screened action given."""
     projection = project(word)
@@ -118,7 +120,7 @@ def _membership(word: TwistWord, action: homology.ModularMatrix,
     return BrunnianReport(
         perm, _strand_verdicts(projection, perm, budget),
         trivial=unless_aborted(_is_trivial, action, projection, perm, budget),
-        rho_mod3_identity=action.mod(3).is_identity)
+        rho_mod3_identity=homology.mod(action, 3) == homology.IDENTITY)
 
 
 def certify_pa_genus2(word: TwistWord,
@@ -138,9 +140,10 @@ def certify_pa_genus2(word: TwistWord,
     action = homology.rho(word)
     poly = homology.charpoly(action)
     printed = {
-        "rho_integral": [[_decimal(x) for x in row] for row in action.rows],
+        "rho_integral": [[_decimal(x) for x in row] for row in action],
         "charpoly": [_decimal(c) for c in poly],
         "casson_bleiler": homology.casson_bleiler(poly),
     }
-    report = _membership(word, action.mod(homology.SCREEN_MODULUS), budget)
+    report = _membership(word, homology.mod(action, homology.SCREEN_MODULUS),
+                         budget)
     return document(word, report, budget, input_text, **printed)

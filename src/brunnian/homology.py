@@ -16,16 +16,17 @@ with s = TWIST_SIGN (s = -TWIST_SIGN for the inverse twist); the global
 sign convention is fixed once and recorded in emitted certificates.
 
 Everything here is exact integer arithmetic on 4x4 matrices; no floats.
-Each input is checked once: a word's letters by the word's constructor,
-a modulus by _modulus, a polynomial by casson_bleiler.
+A matrix is its rows, a tuple of four 4-tuples of ints, and verdicts
+compare it with IDENTITY or NEG_IDENTITY.  Each input is checked once: a
+word's letters by the word's constructor, a modulus by _modulus, rows by
+_matrix, a polynomial by casson_bleiler.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import isqrt
-from typing import Literal, Sequence
+from typing import Literal
 
 from .errors import PreconditionError
 from .freegroup import Word
@@ -66,54 +67,24 @@ def _integers(values) -> tuple[int, ...]:
 
 def _matrix(rows) -> Rows:
     """Integer 4x4 rows; anything else is a PreconditionError."""
-    rows = tuple(_integers(row) for row in rows)
+    try:
+        rows = tuple(_integers(row) for row in rows)
+    except TypeError:  # not iterable
+        raise PreconditionError("expected a 4x4 matrix") from None
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise PreconditionError("expected a 4x4 matrix")
     return rows  # type: ignore[return-value]
 
 
-def _dual(c: Sequence[int]) -> tuple[int, ...]:
-    """J c, the coefficients of the functional x -> <x, c>."""
-    return tuple(sum(J[j][k] * c[k] for k in range(4)) for j in range(4))
-
-
 def _mat_mul(a: Rows, b: Rows) -> Rows:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )  # type: ignore[return-value]
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                 for row in a)  # type: ignore[return-value]
 
 
-_IDENTITY_ROWS: Rows = tuple(
-    tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
-)  # type: ignore[assignment]
-_NEG_IDENTITY_ROWS = tuple(tuple(-x for x in row) for row in _IDENTITY_ROWS)
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """4x4 integer matrix acting on column vectors in the (a1,b1,a2,b2) basis."""
-
-    rows: Rows
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _matrix(self.rows))
-
-    def is_symplectic(self) -> bool:
-        """Exact check of M^T J M == J."""
-        mt = tuple(tuple(self.rows[j][i] for j in range(4)) for i in range(4))
-        return _mat_mul(_mat_mul(mt, J), self.rows) == J
-
-    @property
-    def is_identity(self) -> bool:
-        return self.rows == _IDENTITY_ROWS
-
-    @property
-    def is_neg_identity(self) -> bool:
-        return self.rows == _NEG_IDENTITY_ROWS
-
-    def mod(self, p: int) -> "ModularMatrix":
-        return ModularMatrix(p, self.rows)
+IDENTITY: Rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+NEG_IDENTITY: Rows = (
+    (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
 
 
 def _modulus(p) -> int:
@@ -124,31 +95,16 @@ def _modulus(p) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class ModularMatrix:
-    """4x4 integer matrix modulo p in 2..2^63 - 1; the constructor
-    reduces the entries into [0, p)."""
-
-    p: int
-    rows: Rows
-
-    def __post_init__(self):
-        p = _modulus(self.p)
-        object.__setattr__(self, "rows", tuple(
-            tuple(x % p for x in row) for row in _matrix(self.rows)))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.rows == _IDENTITY_ROWS
-
-    def mod(self, q: int) -> "ModularMatrix":
-        """The same matrix modulo q, a modulus (see _modulus) dividing p."""
-        if self.p % _modulus(q):
-            raise PreconditionError(f"{q} does not divide the modulus {self.p}")
-        return ModularMatrix(q, self.rows)
+def mod(rows, q: int) -> Rows:
+    """Integer 4x4 rows reduced into [0, q), for a modulus q (see _modulus)."""
+    q = _modulus(q)
+    return tuple(tuple(x % q for x in row)
+                 for row in _matrix(rows))  # type: ignore[return-value]
 
 
-_CHAIN_DUALS = tuple(_dual(c) for c in CHAIN_CLASSES)
+# J c for each chain class c: the coefficients of the functional x -> <x, c>.
+_CHAIN_DUALS = tuple(tuple(sum(J[j][k] * c[k] for k in range(4))
+                           for j in range(4)) for c in CHAIN_CLASSES)
 
 
 def _act(word, p: int | None) -> Rows:
@@ -167,7 +123,7 @@ def _act(word, p: int | None) -> Rows:
         raise PreconditionError(
             "homology takes a TwistWord or a BraidWord on at most six strands")
     letters = word.letters
-    m = [list(row) for row in _IDENTITY_ROWS]
+    m = [list(row) for row in IDENTITY]
     for start in range(0, len(letters), _CHECK_EVERY):
         for a in letters[start:start + _CHECK_EVERY]:
             c, jc = CHAIN_CLASSES[abs(a) - 1], _CHAIN_DUALS[abs(a) - 1]
@@ -191,28 +147,29 @@ def _act(word, p: int | None) -> Rows:
     return tuple(map(tuple, m))  # type: ignore[return-value]
 
 
-def rho(word) -> SymplecticMatrix:
-    """Homology action of a twist word, multiplied in word order.
+def rho(word) -> Rows:
+    """Rows of the homology action of a twist word, multiplied in word order.
 
     Takes a TwistWord or a BraidWord on at most six strands (its letterwise
     lift) and is a homomorphism: rho(uv) is rho(u) times rho(v).  A word
     whose entries pass _MAX_DECIMAL_BITS bits on the way is refused with
     PreconditionError (see _act); rho_mod never refuses a word for size.
     """
-    result = SymplecticMatrix(_act(word, None))
-    if not result.is_symplectic():
+    rows = _act(word, None)
+    if _mat_mul(_mat_mul(tuple(zip(*rows)), J), rows) != J:  # M^T J M
         raise AssertionError("the homology action must be symplectic")
-    return result
+    return rows
 
 
-def rho_mod(word, p: int) -> ModularMatrix:
-    """rho modulo p in 2..2^63 - 1, checked before the word.
+def rho_mod(word, p: int) -> Rows:
+    """rho modulo p in 2..2^63 - 1, checked before the word, as rows in [0, p).
 
     Takes the words rho takes; the rows are reduced as they are computed,
     so no word is refused for size.
     """
     p = _modulus(p)
-    return ModularMatrix(p, _act(word, p))
+    return tuple(tuple(x % p for x in row)
+                 for row in _act(word, p))  # type: ignore[return-value]
 
 
 # Modulo 3 this is Theorem 1.2's kernel test; modulo the prime 2^61 - 1 it
@@ -225,27 +182,25 @@ SCREEN_MODULUS = 3 * (2 ** 61 - 1)
 # characteristic polynomials and the homological pseudo-Anosov criterion
 # ---------------------------------------------------------------------------
 
-def charpoly(m: SymplecticMatrix) -> tuple[int, ...]:
-    """Characteristic polynomial det(xI - M) by the Faddeev-LeVerrier
-    scheme, as its five integer coefficients, leading first.
+def charpoly(rows) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - M) of integer 4x4 rows by the
+    Faddeev-LeVerrier scheme, as its five integer coefficients, leading
+    first; other rows are a PreconditionError.
 
     All divisions in the recursion are exact over the integers; this is
     checked rather than assumed.
     """
-    a = m.rows
+    a = mk = _matrix(rows)
     coeffs = [1]
-    mk = a
     for k in range(1, 5):
         trace = sum(mk[i][i] for i in range(4))
         ck, rem = divmod(-trace, k)
         if rem:
             raise AssertionError("Faddeev-LeVerrier division must be exact")
         coeffs.append(ck)
-        if k < 4:
-            shifted = tuple(
-                tuple(mk[i][j] + (ck if i == j else 0) for j in range(4))
-                for i in range(4))
-            mk = _mat_mul(a, shifted)
+        if k < 4:  # A (M + c_k I) = A M + c_k A
+            mk = tuple(tuple(x + ck * y for x, y in zip(r, s))
+                       for r, s in zip(_mat_mul(a, mk), a))
     return tuple(coeffs)
 
 

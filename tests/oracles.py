@@ -198,8 +198,8 @@ def leibniz_det4(rows):
 
 
 def charpoly_value(matrix, t):
-    """det(tI - M) evaluated by the Leibniz sum."""
-    rows = [[(t if i == j else 0) - matrix.rows[i][j] for j in range(4)]
+    """det(tI - M) of rows M evaluated by the Leibniz sum."""
+    rows = [[(t if i == j else 0) - matrix[i][j] for j in range(4)]
             for i in range(4)]
     return leibniz_det4(rows)
 

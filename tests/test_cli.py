@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from brunnian import TwistWord, cli, rho
+from brunnian import BraidWord, TwistWord, cli, rho
 from brunnian.certificate import _decimal
 from brunnian.cli import main
 from brunnian.errors import PreconditionError
+from brunnian.homology import mod
 
 NESTED = "[d1^6,[d2^6,[d3^6,[d4^6,d5^6]]]]"
 NESTED_SPHERE = "[s1^6,[s2^6,[s3^6,[s4^6,s5^6]]]]"
@@ -137,7 +138,7 @@ class TestProjectAndHomology:
                                 "--word", "d1")
         assert code == 0
         assert doc["mod"] == 6
-        assert doc["matrix"] == [list(row) for row in rho(TwistWord((1,))).mod(6).rows]
+        assert doc["matrix"] == [list(row) for row in mod(rho(TwistWord((1,))), 6)]
 
     @pytest.mark.parametrize("modulus, code", [
         ("1000000000000000003", 0),           # prime
@@ -208,9 +209,10 @@ class TestCertify:
 
 
 class TestAbortAccounting:
-    # The first strand's engine run crosses the cap; later strands and the
-    # word itself still try the engine, but an exhausted budget charges
-    # nothing more, so letters_used stops at the amount that crossed.
+    # Removing strand 1 leaves the empty word; strand 2's engine run crosses
+    # the cap.  Later strands are not tried, and the word itself still tries
+    # the engine, but an exhausted budget charges nothing more, so
+    # letters_used stops at the amount that crossed.
     @pytest.mark.parametrize("command, surface, word, cap, used", [
         ("brunnian", "sphere:6", f"({RELATION})^3", "40", 42),
         ("certify", "sphere:6", f"({RELATION})^3", "40", 42),
@@ -222,6 +224,39 @@ class TestAbortAccounting:
                                 "--word", word, "--max-letters", cap)
         assert code == 3
         assert doc.get("resources", doc)["letters_used"] == used
+
+    @pytest.mark.parametrize("surface, word, cap", [
+        ("sphere:6", f"({RELATION})^3", "40"),
+        ("genus2", f"({RELATION.replace('s', 'd')})^2", "30"),
+    ], ids=["sphere", "genus2"])
+    def test_no_strand_is_removed_after_the_abort(
+            self, capsys, monkeypatch, surface, word, cap):
+        removed = []
+        remove_strand = BraidWord.remove_strand
+
+        def counted(self, i):
+            removed.append(i)
+            return remove_strand(self, i)
+
+        monkeypatch.setattr(BraidWord, "remove_strand", counted)
+        code, doc, _ = run_json(capsys, "brunnian", "--surface", surface,
+                                "--word", word, "--max-letters", cap)
+        assert code == 3
+        assert removed == [1, 2]
+        assert doc["per_strand"] == [True] + [None] * 5
+
+    def test_full_twist_on_a_thousand_strands_aborts_quickly(self):
+        # Every removal of the full twist is a full twist, which the Burau
+        # screen passes and the engine cannot finish under the default cap;
+        # after the first abort no removal is built or screened.
+        word = "(" + " ".join(f"s{i}" for i in range(1, 1000)) + ")^1000"
+        done = subprocess.run(
+            [sys.executable, "-m", "brunnian.cli", "brunnian",
+             "--surface", "sphere:1000", "--word", word],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 3
+        assert "Traceback" not in done.stderr
 
 
 class TestExample:

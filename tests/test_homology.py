@@ -5,8 +5,6 @@ import sympy
 
 from brunnian import (
     BraidWord,
-    ModularMatrix,
-    SymplecticMatrix,
     TwistWord,
     casson_bleiler,
     charpoly,
@@ -16,8 +14,11 @@ from brunnian import (
 from brunnian.errors import PreconditionError
 from brunnian.homology import (
     CHAIN_CLASSES,
+    IDENTITY,
+    NEG_IDENTITY,
     SCREEN_MODULUS,
     TWIST_SIGN,
+    mod,
 )
 
 import oracles
@@ -25,6 +26,13 @@ import oracles
 INVOLUTION = TwistWord((1, 2, 3, 4, 5, 5, 4, 3, 2, 1))
 IDENTITY_ROWS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 NEG_IDENTITY_ROWS = tuple(tuple(-x for x in row) for row in IDENTITY_ROWS)
+
+
+def is_rows(value):
+    """A homology value is its rows: four 4-tuples of ints."""
+    return (type(value) is tuple and len(value) == 4
+            and all(type(row) is tuple and len(row) == 4
+                    and all(type(x) is int for x in row) for row in value))
 
 
 def nested_commutator():
@@ -57,8 +65,8 @@ def twist(letter):
     return oracles.transvection(CHAIN_CLASSES[abs(letter) - 1], sign)
 
 
-def image(matrix, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in matrix.rows)
+def image(rows, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in rows)
 
 
 class TestChainClasses:
@@ -95,24 +103,23 @@ class TestTransvection:
     def test_symplectic(self):
         for letter in (1, 2, 3, 4, 5, -1, -2, -3, -4, -5):
             m = rho(TwistWord((letter,)))
-            assert m.is_symplectic()
-            transpose = tuple(zip(*m.rows))
+            transpose = tuple(zip(*m))
             assert oracles.mat_mul(oracles.mat_mul(transpose, oracles.J),
-                                   m.rows) == oracles.J
+                                   m) == oracles.J
 
     def test_nilpotency_and_sixth_power(self):
         for i in range(1, 6):
-            t = rho(TwistWord((i,))).rows
+            t = rho(TwistWord((i,)))
             n = tuple(tuple(t[r][c] - IDENTITY_ROWS[r][c] for c in range(4))
                       for r in range(4))
             assert oracles.mat_mul(n, n) == ((0,) * 4,) * 4
-            assert rho(TwistWord((i,) * 6)).rows == tuple(
+            assert rho(TwistWord((i,) * 6)) == tuple(
                 tuple(IDENTITY_ROWS[r][c] + 6 * n[r][c] for c in range(4))
                 for r in range(4))
 
     @pytest.mark.parametrize("letter", [1, -1, 2, -2, 3, -3, 4, -4, 5, -5])
     def test_each_letter_is_the_oracle_transvection(self, letter):
-        assert rho(TwistWord((letter,))).rows == twist(letter)
+        assert rho(TwistWord((letter,))) == twist(letter)
 
 
 class TestIntegerEntries:
@@ -120,7 +127,9 @@ class TestIntegerEntries:
         # Truncated, a 1.5 on the diagonal would read as the identity.
         rows = ((1.5, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         with pytest.raises(PreconditionError):
-            SymplecticMatrix(rows)
+            charpoly(rows)
+        with pytest.raises(PreconditionError):
+            mod(rows, 3)
 
     def test_char_polynomial_refuses_non_integers(self):
         # Truncated, (1, 0.7, 0, 0, 1) would be x^4 + 1, and the
@@ -133,19 +142,20 @@ class TestIntegerEntries:
         # Unchecked, a 1.0 on the diagonal compared equal to the identity.
         rows = ((1.0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         with pytest.raises(PreconditionError):
-            ModularMatrix(3, rows)
+            mod(rows, 3)
         with pytest.raises(PreconditionError):
-            ModularMatrix(3.0, IDENTITY_ROWS)
+            mod(IDENTITY_ROWS, 3.0)
 
 
-class TestModularMatrix:
+class TestMod:
     def test_rows_are_reduced(self):
-        m = ModularMatrix(3, ((4, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -5)))
-        assert m.rows == IDENTITY_ROWS
-        assert m.is_identity
-        assert ModularMatrix(3, NEG_IDENTITY_ROWS).rows == tuple(
+        m = mod(((4, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -5)), 3)
+        assert m == IDENTITY_ROWS == IDENTITY
+        assert is_rows(m)
+        assert mod(NEG_IDENTITY_ROWS, 3) == tuple(
             tuple(2 * x for x in row) for row in IDENTITY_ROWS)
-        assert ModularMatrix(7, NEG_IDENTITY_ROWS).rows[0] == (6, 0, 0, 0)
+        assert mod(NEG_IDENTITY_ROWS, 7)[0] == (6, 0, 0, 0)
+        assert NEG_IDENTITY == NEG_IDENTITY_ROWS
 
     @pytest.mark.parametrize("p, rows", [
         (0, ((1, 0),)),
@@ -159,16 +169,27 @@ class TestModularMatrix:
     ])
     def test_refuses_small_moduli_and_other_shapes(self, p, rows):
         with pytest.raises(PreconditionError):
-            ModularMatrix(p, rows)
+            mod(rows, p)
 
 
-def max_entry_bits(matrix):
-    return max(abs(x) for row in matrix.rows for x in row).bit_length()
+def max_entry_bits(rows):
+    return max(abs(x) for row in rows for x in row).bit_length()
 
 
 class TestRho:
     def test_empty_word(self):
-        assert rho(TwistWord()).is_identity
+        assert rho(TwistWord()) == IDENTITY
+
+    def test_values_are_rows(self):
+        # The exact rows, and the reduced rows with entries in [0, p).
+        rng = random.Random(210)
+        for _ in range(50):
+            w = random_twist(rng, 30)
+            assert is_rows(rho(w))
+            for p in (3, 7, SCREEN_MODULUS):
+                m = rho_mod(w, p)
+                assert is_rows(m)
+                assert all(0 <= x < p for row in m for x in row)
 
     # (d1 d2^-1)^k has entries of about 1.39 k bits: 13,885 at k = 10000,
     # 14,579 at k = 10500.
@@ -197,18 +218,18 @@ class TestRho:
             == rho(TwistWord((4,)))
 
     def test_involution_acts_as_minus_identity(self):
-        assert rho(INVOLUTION).is_neg_identity
-        assert rho(INVOLUTION.power(2)).is_identity
+        assert rho(INVOLUTION) == NEG_IDENTITY
+        assert rho(INVOLUTION.power(2)) == IDENTITY
 
     def test_sixth_power_of_generator_product(self):
-        assert rho(TwistWord((1, 2, 3, 4, 5)).power(6)).is_identity
+        assert rho(TwistWord((1, 2, 3, 4, 5)).power(6)) == IDENTITY
 
     def test_homomorphism(self):
         rng = random.Random(202)
         for _ in range(200):
             u = random_twist(rng, 12)
             v = random_twist(rng, 12)
-            assert rho(u * v).rows == oracles.mat_mul(rho(u).rows, rho(v).rows)
+            assert rho(u * v) == oracles.mat_mul(rho(u), rho(v))
 
     def test_matches_the_product_of_transvection_matrices(self):
         rng = random.Random(205)
@@ -217,7 +238,7 @@ class TestRho:
             product = IDENTITY_ROWS
             for a in word.letters:
                 product = oracles.mat_mul(product, twist(a))
-            assert rho(word).rows == product
+            assert rho(word) == product
 
     def test_braid_relations(self):
         for i in range(1, 5):
@@ -231,16 +252,17 @@ class TestRho:
         rng = random.Random(203)
         for _ in range(200):
             m = rho(random_twist(rng, 20))
-            assert m.is_symplectic()
-            assert oracles.leibniz_det4(m.rows) == 1
+            assert oracles.mat_mul(oracles.mat_mul(tuple(zip(*m)), oracles.J),
+                                   m) == oracles.J
+            assert oracles.leibniz_det4(m) == 1
 
     def test_mod_reduction_compatibility(self):
         rng = random.Random(204)
         for _ in range(200):
             w = random_twist(rng, 16)
             screen = rho_mod(w, SCREEN_MODULUS)
-            assert screen == rho(w).mod(SCREEN_MODULUS)
-            assert rho_mod(w, 3) == rho(w).mod(3) == screen.mod(3)
+            assert screen == mod(rho(w), SCREEN_MODULUS)
+            assert rho_mod(w, 3) == mod(rho(w), 3) == mod(screen, 3)
 
     def test_any_modulus_in_range_reduces_the_exact_action(self):
         # Primality plays no part: composites, a power of two and the
@@ -250,49 +272,48 @@ class TestRho:
             w = random_twist(rng, 40)
             exact = rho(w)
             for m in (4, 6, 2 ** 32, SCREEN_MODULUS, 2 ** 63 - 1):
-                assert rho_mod(w, m) == exact.mod(m)
+                assert rho_mod(w, m) == mod(exact, m)
 
-    @pytest.mark.parametrize("q", [0, -3, 2, 5, 2 ** 61, 3 * SCREEN_MODULUS])
+    # Rows carry no modulus, so any modulus reduces them; these are none.
+    @pytest.mark.parametrize("q", [0, -3, 3 * SCREEN_MODULUS])
     def test_reduction_needs_a_divisor_of_the_modulus(self, q):
         with pytest.raises(PreconditionError):
-            rho_mod(INVOLUTION, SCREEN_MODULUS).mod(q)
+            mod(rho_mod(INVOLUTION, SCREEN_MODULUS), q)
 
-    # mod(q) checks q as a modulus before it tests that q divides p:
-    # 1 divides 6 but is no modulus.
     @pytest.mark.parametrize("q", ["3", None, 1, 2 ** 63],
                              ids=["str", "none", "one", "two-to-63"])
     def test_reduction_takes_a_modulus(self, q):
         with pytest.raises(PreconditionError, match="modulus"):
-            ModularMatrix(6, IDENTITY_ROWS).mod(q)
+            mod(IDENTITY_ROWS, q)
 
     def test_generator_sixth_powers_die_mod_3(self):
         for i in range(1, 6):
-            assert rho_mod(TwistWord((i,) * 6), 3).is_identity
+            assert rho_mod(TwistWord((i,) * 6), 3) == IDENTITY
 
     def test_involution_nontrivial_mod_3(self):
-        assert not rho_mod(INVOLUTION, 3).is_identity
+        assert rho_mod(INVOLUTION, 3) != IDENTITY
 
     def test_involution_is_minus_identity_mod_3(self):
-        assert rho_mod(INVOLUTION, 3) == ModularMatrix(3, NEG_IDENTITY_ROWS)
-        assert rho_mod(TwistWord(), 3) != ModularMatrix(3, NEG_IDENTITY_ROWS)
+        assert rho_mod(INVOLUTION, 3) == mod(NEG_IDENTITY, 3)
+        assert rho_mod(TwistWord(), 3) != mod(NEG_IDENTITY, 3)
 
     def test_mod_reduction_is_never_refused(self):
         # Exact at 13,885 bits; beyond the bound only the reduced action
         # exists, and it is still a homomorphism.
         p = 2 ** 61 - 1
         word = TwistWord((1, -2) * 10000)
-        assert rho_mod(word, p).rows == rho(word).mod(p).rows
+        assert rho_mod(word, p) == mod(rho(word), p)
         power = (1, -2) * 10500
         conjugated = TwistWord(power + (4,) + oracles.inverse(power))
         assert rho_mod(conjugated, p) == rho_mod(TwistWord((4,)), p)
-        assert not rho_mod(TwistWord(power), p).is_identity
+        assert rho_mod(TwistWord(power), p) != IDENTITY
 
     def test_nested_commutator_matrix(self):
         w = nested_commutator()
         m = rho(w)
-        assert m.rows == NESTED_COMMUTATOR_RHO
-        assert not m.is_identity and not m.is_neg_identity
-        assert rho_mod(w, 3).is_identity
+        assert m == NESTED_COMMUTATOR_RHO
+        assert m not in (IDENTITY, NEG_IDENTITY)
+        assert rho_mod(w, 3) == IDENTITY
 
     def test_nested_commutator_matrix_against_sympy(self):
         twists = {i: sympy.Matrix(twist(i)) for i in range(1, 6)}
@@ -341,11 +362,19 @@ class TestRho:
 
 class TestCharPolynomial:
     def test_identity(self):
-        assert charpoly(SymplecticMatrix(IDENTITY_ROWS)) == (1, -4, 6, -4, 1)
+        assert charpoly(IDENTITY_ROWS) == (1, -4, 6, -4, 1)
 
     def test_minus_identity(self):
         m = rho(INVOLUTION)
         assert charpoly(m) == (1, 4, 6, 4, 1)
+
+    @pytest.mark.parametrize("rows", [IDENTITY_ROWS[:3], ((1, 0),), None,
+                                      IDENTITY_ROWS[:3] + ((0, 0, 1),)],
+                             ids=["three-rows", "two-by-one", "None",
+                                  "short-row"])
+    def test_refuses_other_shapes(self, rows):
+        with pytest.raises(PreconditionError):
+            charpoly(rows)
 
     def test_nested_commutator_coefficients(self):
         assert charpoly(rho(nested_commutator())) == NESTED_COMMUTATOR_CHARPOLY

@@ -9,7 +9,8 @@
   proves trivial is stopped, the nontrivial ones of a seeded sample
   are, and the flagship is decided at n = 5..9 with no engine letters.
 * That on a genus-2 projection it passes every word whose homology
-  action is I or -I, as in a seeded sample of such words.
+  action is I or -I, as in a seeded sample of such words, which is why
+  genus-2 commands do not run it on six strands.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from brunnian import (BraidWord, LetterBudget, ModularMatrix, TwistWord,
+from brunnian import (BraidWord, LetterBudget, TwistWord,
                       brunnian_example, genus2, homology, involution_word,
                       parse_surface, parse_word)
 from brunnian.braid import (_action_table, _burau_field, _burau_passes,
@@ -206,14 +207,15 @@ def test_flagship_decided_with_no_engine_letters(n):
 
 
 def test_genus2_projection_passes_when_homology_is_plus_or_minus_identity():
-    # Genus-2 commands screen the projection only after the homology action
-    # is the identity; at t = -1 on six strands the screen reads that same
-    # homology.  Products of conjugates of the separating twist (d1 d2)^6
-    # act as I, and with the involution appended as -I.
+    # Genus-2 commands ask the projection only after the homology action
+    # is the identity, and skip the screen there: at t = -1 on six strands
+    # it reads that same homology, so it passes.  Products of conjugates
+    # of the separating twist (d1 d2)^6 act as I, and with the involution
+    # appended as -I.
     rng = random.Random(2024)
     p = 2 ** 61 - 1
-    identity = ModularMatrix(p, [[int(i == j) for j in range(4)] for i in range(4)])
-    minus_identity = ModularMatrix(p, [[-x for x in row] for row in identity.rows])
+    identity = homology.mod(homology.IDENTITY, p)
+    minus_identity = homology.mod(homology.NEG_IDENTITY, p)
     separating = TwistWord((1, 2) * 6)
     actions = []
     for _ in range(60):
@@ -227,3 +229,32 @@ def test_genus2_projection_passes_when_homology_is_plus_or_minus_identity():
         assert actions[-1] in (identity, minus_identity)
         assert _burau_passes(genus2.project(w))
     assert identity in actions and minus_identity in actions
+
+
+@pytest.mark.parametrize("command", ["check", "brunnian", "certify"])
+@pytest.mark.parametrize("text, trivial", [
+    ("(d1 d2 d3 d4 d5)^6", True),
+    ("(d1 d2 d3 d4 d5 d5 d4 d3 d2 d1)^2", True),
+    ("(d1 d2)^6", False),
+    ("d3 (d1 d2)^-6 d3^-1 (d1 d2)^6", False),
+])
+def test_genus2_identity_action_skips_the_six_strand_screen(
+        monkeypatch, command, text, trivial):
+    # Each word acts as the identity on homology with a pure projection,
+    # so the engine decides it; only five-strand removals are screened.
+    word = parse_word(text, parse_surface("genus2"))
+    assert homology.rho(word) == homology.IDENTITY
+    screened = []
+
+    def recorded(braid_word):
+        screened.append(braid_word.n)
+        return _burau_passes(braid_word)
+
+    monkeypatch.setattr("brunnian.braid._burau_passes", recorded)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--surface", "genus2", "--word", text, "--json"])
+    assert code == 0
+    doc = json.loads(out.getvalue())
+    assert doc.get("checks", doc)["trivial"] is trivial
+    assert 6 not in screened
