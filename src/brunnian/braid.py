@@ -45,7 +45,12 @@ Forgetting a strand is realised on words by a left-to-right sweep that
 tracks the geometric position of the forgotten strand, drops every
 crossing adjacent to it and shifts higher indices down.  A word is
 Brunnian when every single-strand removal yields a trivial mapping
-class; a budget abort leaves the strands after it undecided.
+class.  Each removal runs collapse and screen; the first that needs
+the engine asks the word itself first, once.  Forgetting a strand is a
+homomorphism of pure mapping class groups (the Birman exact sequence),
+so a trivial word makes that removal and every later one trivial with
+no engine run of their own; otherwise the engine decides each such
+removal.  A budget abort leaves the strands after it undecided.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .budget import LetterBudget, unless_aborted
 from .certificate import document
@@ -229,9 +234,17 @@ def _is_trivial_pure(word: BraidWord, budget: LetterBudget) -> bool:
     Runs collapse, screen and engine (see the module docstring); only
     the engine charges letters.
     """
+    verdict = _screened(word)
+    return _is_inner(word, budget) if verdict is None else verdict
+
+
+def _screened(word: BraidWord) -> Optional[bool]:
+    """The stages before the engine on a pure word: True when it
+    collapses, False when the screen proves it nontrivial, None when
+    only the engine can decide."""
     if not word.letters or word.n == 3:
         return True
-    return _burau_passes(word) and _is_inner(word, budget)
+    return None if _burau_passes(word) else False
 
 
 def _is_inner(word: BraidWord, budget: LetterBudget) -> bool:
@@ -331,21 +344,39 @@ class BrunnianReport:
         return False if False in verdicts else None if None in verdicts else True
 
 
-def _strand_verdicts(word: BraidWord, perm: Permutation,
-                     budget: LetterBudget) -> tuple[Optional[bool], ...]:
+def _strand_verdicts(word: BraidWord, perm: Permutation, budget: LetterBudget,
+                     trivial: Callable[[], Optional[bool]]
+                     ) -> tuple[Optional[bool], ...]:
     """Triviality of each single-strand removal; ``perm`` is the word's.
 
     A word with a nontrivial permutation is immediately not Brunnian:
     moved strands report False, fixed strands stay unevaluated.
     Forgetting a strand of a pure word leaves a pure word, so no removal
-    recomputes a permutation.  Once the budget is exhausted the sweep
-    stops: the remaining strands stay None, with no removal built.
+    recomputes a permutation.  A removal that collapses or that the
+    screen proves nontrivial is decided by that stage.  The first one
+    that needs the engine asks ``trivial()`` first, the caller's
+    memoised verdict on the word (True only if the word, and so every
+    removal, is trivial, since forgetting a strand is a homomorphism):
+    True makes this strand and every later one True, with no removal
+    built; otherwise the engine decides the removal.  Once the budget is
+    exhausted the sweep stops: the remaining strands stay None, with no
+    removal built.
     """
     n = word.n
     if not perm.is_identity():
         return tuple(None if perm.fixes(i) else False for i in range(1, n + 1))
-    return tuple(None if budget.exhausted else unless_aborted(
-        _is_trivial_pure, word.remove_strand(i), budget) for i in range(1, n + 1))
+    verdicts = []
+    for i in range(1, n + 1):
+        if budget.exhausted:
+            break
+        removal = word.remove_strand(i)
+        verdict = _screened(removal)
+        if verdict is None and trivial():
+            return (*verdicts, *[True] * (n + 1 - i))
+        if verdict is None and not budget.exhausted:
+            verdict = unless_aborted(_is_inner, removal, budget)
+        verdicts.append(verdict)
+    return (*verdicts, *[None] * (n - len(verdicts)))
 
 
 def brunnian_check(word: BraidWord,
@@ -354,14 +385,20 @@ def brunnian_check(word: BraidWord,
 
     Accepts n >= 4; certification (see certify_pa_sphere) additionally
     requires n >= 5.  Budget aborts leave the affected verdicts None.
+    The word's own verdict is computed at most once, by the first strand
+    that needs the engine or else at the end.
     """
     if word.n < 4:
         raise PreconditionError("Brunnian checks need at least four strands")
     budget = LetterBudget() if budget is None else budget
     perm = word.permutation()
-    per_strand = _strand_verdicts(word, perm, budget)
-    trivial = perm.is_identity() and unless_aborted(_is_trivial_pure, word, budget)
-    return BrunnianReport(perm, per_strand, trivial)
+
+    @cache
+    def trivial() -> Optional[bool]:
+        return unless_aborted(_is_trivial_pure, word, budget)
+
+    per_strand = _strand_verdicts(word, perm, budget, trivial)
+    return BrunnianReport(perm, per_strand, perm.is_identity() and trivial())
 
 
 def certify_pa_sphere(word: BraidWord,

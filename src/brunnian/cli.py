@@ -122,16 +122,16 @@ def _verdict_text(value, yes: str = "trivial", no: str = "nontrivial") -> str:
 
 
 def _report(args, word, budget: LetterBudget, human: str, **verdicts) -> int:
-    """Emit the verdict document of ``check`` or ``brunnian``; exit 3 on an abort."""
-    doc = {
+    """Emit the verdict document of ``check`` or ``brunnian``, built and
+    rendered only under ``--json``, else ``human``; exit 3 on an abort."""
+    print(canonical_json({
         "surface": surface_label(word),
         "word": render_word(word),
         **verdicts,
         "letters_used": budget.used,
         "letter_cap": budget.cap,
         "aborted": budget.exhausted,
-    }
-    _emit(args, doc, human)
+    }) if args.json else human)
     return 3 if budget.exhausted else 0
 
 

@@ -114,12 +114,22 @@ def membership_theorem12(word: TwistWord,
 
 def _membership(word: TwistWord, action: homology.Rows,
                 budget: LetterBudget) -> BrunnianReport:
-    """membership_theorem12 with the word's screened action given."""
+    """membership_theorem12 with the word's screened action given.
+
+    The strands ask the word's own verdict as they need it: a trivial
+    word has a trivial projection, and that runs the engine only when
+    the action is the identity, where the verdict runs it anyway.
+    """
     projection = project(word)
     perm = projection.permutation()
+
+    @cache
+    def trivial() -> bool | None:
+        return unless_aborted(_is_trivial, action, projection, perm, budget)
+
     return BrunnianReport(
-        perm, _strand_verdicts(projection, perm, budget),
-        trivial=unless_aborted(_is_trivial, action, projection, perm, budget),
+        perm, _strand_verdicts(projection, perm, budget, trivial),
+        trivial=trivial(),
         rho_mod3_identity=homology.mod(action, 3) == homology.IDENTITY)
 
 

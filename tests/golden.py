@@ -151,9 +151,9 @@ def corpus() -> list[list[str]]:
     for command in COMMANDS:
         runs.append([command, "--max-letters", FLAGSHIP_CAP, "--surface", "sphere:5",
                      "--word", "[s1^10,[s2^10,[s3^10,s4^10]]]", "--json"])
-    # Caps small enough that the first engine attempt aborts while later
-    # strands and the word itself still try: letters_used counts only
-    # the amount that crossed the cap.
+    # Caps small enough that the first engine run, the word's own, asked
+    # by strand 2's removal, aborts: letters_used counts only the amount
+    # that crossed the cap.
     relation = "(s1 s2 s3 s4 s5 s5 s4 s3 s2 s1)^3"
     for command in ("brunnian", "certify"):
         runs.append([command, "--max-letters", "40", "--surface", "sphere:6",

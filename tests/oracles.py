@@ -7,7 +7,10 @@ on the disk side is decided by direct comparison against a conjugation
 rather than by conjugator recovery, determinants come from the 24-term
 Leibniz sum, transvections from the intersection form, and Burau
 matrices are whole matrices multiplied by 2x2 blocks, inverted by the
-adjugate.  The package is imported only for ``BraidWord``, to generate
+adjugate.  Strand removal tracks every strand rather than the
+forgotten one, and the per-strand Brunnian reference asks each removal
+on its own, through a decision function its caller passes in with the
+word's own answer.  The package is imported only for ``BraidWord``, to generate
 words.  Disagreement between these and the package is a test failure,
 not a tie to be broken.
 
@@ -109,6 +112,38 @@ def charged_sphere_action(n, letters, budget):
             table[copy[0] - 1] = table[copy[1] - 1]
         table[target - 1] = image
     return tuple(table)
+
+
+# ---------------------------------------------------------------------------
+# Brunnian verdicts with every question asked on its own
+# ---------------------------------------------------------------------------
+
+def forget_strand(word, i):
+    """A pure braid word with strand i forgotten: every crossing of two
+    other strands, renumbered by whether strand i lies to its left."""
+    at = list(range(word.n + 1))  # at[pos] = strand at pos
+    out = []
+    for a in word.letters:
+        j = abs(a)
+        if i not in (at[j], at[j + 1]):
+            k = j - 1 if at.index(i) < j else j
+            out.append(k if a > 0 else -k)
+        at[j], at[j + 1] = at[j + 1], at[j]
+    return BraidWord(word.n - 1, out)
+
+
+def strand_reference(word, decide, own):
+    """The per-strand verdicts of a pure braid word, the verdict of the
+    word itself and the letters all of them used together.
+
+    Every question runs alone, under a budget of its own:
+    ``decide(removal)`` answers for each strand removal, and ``own`` is
+    the answer for the word (for a genus-2 word, for its lift), each a
+    verdict and the letters it used.
+    """
+    asked = [decide(forget_strand(word, i)) for i in range(1, word.n + 1)]
+    verdict, used = own
+    return [v for v, _ in asked], verdict, used + sum(u for _, u in asked)
 
 
 # ---------------------------------------------------------------------------

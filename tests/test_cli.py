@@ -100,6 +100,22 @@ class TestBrunnianCommand:
         assert brunnian["brunnian"] is True
 
 
+class TestTextMode:
+    @pytest.mark.parametrize("command", ["check", "brunnian"])
+    @pytest.mark.parametrize("surface, word", [
+        ("sphere:6", NESTED_SPHERE), ("genus2", NESTED)])
+    def test_no_word_is_rendered_without_json(
+            self, capsys, monkeypatch, command, surface, word):
+        # The human line names no word, so the document that would
+        # render it is not built.
+        rendered = []
+        monkeypatch.setattr(cli, "render_word", rendered.append)
+        code, out, _ = run(capsys, command, "--surface", surface, "--word", word)
+        assert code == 0
+        assert out.strip() in ("nontrivial", "brunnian; word nontrivial")
+        assert rendered == []
+
+
 class TestProjectAndHomology:
     def test_project(self, capsys):
         code, doc, _ = run_json(capsys, "project", "--word", "d1 d5^-1")
@@ -209,14 +225,16 @@ class TestCertify:
 
 
 class TestAbortAccounting:
-    # Removing strand 1 leaves the empty word; strand 2's engine run crosses
-    # the cap.  Later strands are not tried, and the word itself still tries
-    # the engine, but an exhausted budget charges nothing more, so
-    # letters_used stops at the amount that crossed.
+    # Removing strand 1 leaves the empty word.  Strand 2's removal passes
+    # the screen, so it first asks the word itself, and the word's engine
+    # run crosses the cap.  Strand 2 and the later strands stay undecided,
+    # the word's verdict is read from its one attempt, and an exhausted
+    # budget charges nothing more, so letters_used stops at the amount
+    # that crossed.
     @pytest.mark.parametrize("command, surface, word, cap, used", [
-        ("brunnian", "sphere:6", f"({RELATION})^3", "40", 42),
-        ("certify", "sphere:6", f"({RELATION})^3", "40", 42),
-        ("brunnian", "genus2", f"({RELATION.replace('s', 'd')})^2", "30", 32),
+        ("brunnian", "sphere:6", f"({RELATION})^3", "40", 41),
+        ("certify", "sphere:6", f"({RELATION})^3", "40", 41),
+        ("brunnian", "genus2", f"({RELATION.replace('s', 'd')})^2", "30", 31),
     ])
     def test_nothing_is_charged_after_the_first_abort(
             self, capsys, command, surface, word, cap, used):

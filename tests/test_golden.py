@@ -6,10 +6,11 @@ covers ``check``, ``brunnian`` and ``certify`` on the nested-commutator
 flagship at a 30000-letter cap, and at the same cap on a five-strand
 commutator of tenth powers that the Burau screen passes (so the
 accounting after a budget abort is pinned), at caps of 40 and 30 on
-words whose later strands still try the engine after the first abort,
-full twists, powers of the genus-2 chain and of the
-hyperelliptic involution, and seeded random pure sphere words and
-genus-2 words.  It also pins ``project`` (the genus-2 flagship and a
+trivial words whose own engine run, asked by the first removal that
+needs the engine, crosses the cap, full twists, powers of the genus-2
+chain and of the hyperelliptic involution (trivial words, whose
+``letters_used`` pins one engine run in place of one per removal), and
+seeded random pure sphere words and genus-2 words.  It also pins ``project`` (the genus-2 flagship and a
 seeded random twist word), ``homology`` exact and modulo 3, 7 and
 2^61 - 1, ``example`` on ``sphere:5..9`` and ``genus2``, each in text
 and JSON, and the exit code of refused surfaces (``sphere:1``,

@@ -15,6 +15,8 @@
   the Burau screen reads the word itself.
 * A word or strand removal that collapses to the empty word is decided
   without the free-group engine or a homology pass.
+* A trivial word whose removals pass the screen costs one engine run,
+  on the word itself, and none on its removals.
 * The library example in README.md runs.
 * The test oracles share no code with the package: ``tests/oracles.py``
   imports nothing from it but ``BraidWord``, which only generates words.
@@ -122,7 +124,7 @@ def test_no_engine_run_on_a_projection_acting_as_minus_identity(
     # The involution projects to a trivial class.  Its strand-1 removal
     # is the empty word, so only the other five five-strand removals need
     # the engine; its own action is -I, which already decides that the
-    # genus-2 word is nontrivial.
+    # genus-2 word is nontrivial, so the strands do not ask the projection.
     report = membership_theorem12(involution_word())
     assert report.trivial is False
     assert action_table_sizes == [5] * 5
@@ -143,6 +145,25 @@ def test_no_engine_run_on_words_that_collapse(action_table_sizes, command):
                          "--word", "s1 s1^-1", "--max-letters", "1000"])
     assert code == 0
     assert action_table_sizes == []
+
+
+@pytest.mark.parametrize("command, strands", [("brunnian", "per_strand"),
+                                              ("certify", "brunnian_per_strand")])
+@pytest.mark.parametrize("surface, word, n", [
+    ("sphere:5", "(s1 s2 s3 s4)^5", 5),    # the full twist
+    ("genus2", "(d1 d2 d3 d4 d5)^6", 6),   # acts as I on homology
+], ids=["full-twist", "genus2-chain"])
+def test_one_engine_run_on_a_trivial_word(action_table_sizes, command, strands,
+                                          surface, word, n):
+    # Every removal passes the screen.  The first one asks the word
+    # itself, whose one n-strand engine run proves it trivial, and with it
+    # every removal: forgetting a strand is a homomorphism.
+    code, doc = _run_json([command, "--surface", surface, "--word", word])
+    checks = doc.get("checks", doc)
+    assert code == 0
+    assert checks[strands] == [True] * n
+    assert checks["trivial"] is True
+    assert action_table_sizes == [n]
 
 
 def test_no_homology_run_on_empty_six_strand_removals(rho_calls):
