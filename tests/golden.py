@@ -25,6 +25,7 @@ DATA = Path(__file__).parent / "data" / "golden.json"
 
 FLAGSHIP_CAP = "30000"
 RANDOM_CAP = "100000"
+POWER_CAP = "5000"
 COMMANDS = ("check", "brunnian", "certify")
 
 
@@ -160,6 +161,20 @@ def corpus() -> list[list[str]]:
                      "--word", relation, "--json"])
     runs.append(["brunnian", "--max-letters", "30", "--surface", "genus2",
                  "--word", f"({involution})^2", "--json"])
+    # Long powers u^m of a periodic base u, of order n, n - 1 and n - 2 on
+    # the sphere and 6 on genus 2, and of s1 s2, whose sixth power is the
+    # three-strand full twist: a nontrivial class that the six-strand screen
+    # passes.  An engine run on the whole word overruns the cap, one on
+    # u^gcd(m, d) for d in {n, n - 1, n - 2} stays well inside it.
+    for surface, text in (("sphere:5", "(s1 s2 s3 s4)^250"),
+                          ("sphere:6", "(s1 s2 s3 s4)^250"),
+                          ("sphere:7", "(s1 s2 s3 s4 s5 s5)^250"),
+                          ("genus2", f"({_chain('d', 6)})^600"),
+                          ("sphere:6", "(s1 s2)^1200"),
+                          ("genus2", "(d1 d2)^1200")):
+        for command in COMMANDS:
+            runs.append([command, "--max-letters", POWER_CAP, "--surface", surface,
+                         "--word", text, "--json"])
     return runs
 
 
