@@ -10,9 +10,13 @@ report verdicts in-band translate the abort into an "undetermined"
 outcome instead of guessing.
 
 Linear-cost word operations (reduction, concatenation, inversion,
-strand removal) and the per-strand tables are not charged: they are
+strand removal, and the power reduction in front of the engine: the
+cyclic split, the least period and the purity tests and screens of the
+powers it tries) and the per-strand tables are not charged: they are
 bounded by the word and by the strand count, which BraidWord caps at
-braid.MAX_STRANDS.  Substitution output counts, as do the parser's expansion
+braid.MAX_STRANDS.  So the letters charged are still exactly the
+substitution output of the action tables, on the powers the engine
+runs on.  Substitution output counts, as do the parser's expansion
 of powers and commutators and the word the ``example`` command builds.
 """
 

@@ -25,6 +25,8 @@ element, and that element is recovered exactly or ruled out.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
@@ -67,7 +69,7 @@ _SCAN = 8  # letters compared one at a time before a seam gallops
 
 def _pack(rank: int, letters: Iterable[int]) -> str:
     """The packed word of rank ``rank`` with the given letters."""
-    return "".join(chr(rank + a) for a in letters)
+    return "".join(map(chr, map(rank.__add__, letters)))
 
 
 def _inverse_table(rank: int) -> dict[int, int]:
@@ -110,6 +112,13 @@ def _product(u: str, v: str, v_inv: str) -> str:
     return u[:len(u) - k] + v[k:]
 
 
+def _cyclic_split(s: str, s_inv: str) -> int:
+    """Length k of the conjugator in s = v c v^-1, for reduced packed s and
+    s_inv = s^-1: the longest common prefix of s and s^-1, so the core
+    c = s[k:len(s) - k] is cyclically reduced (and nonempty unless s is)."""
+    return _common_prefix(s, s_inv) if s and s[0] == s_inv[0] else 0
+
+
 def _conjugate(a: str, a_inv: str, x: str) -> str:
     """The reduced word of a x a^-1, for reduced packed a, x and a_inv = a^-1.
 
@@ -134,8 +143,7 @@ def _inner_conjugator(rank: int, images: Sequence[str]) -> Optional[str]:
     flip = _inverse_table(rank)
     x1, x1_inv, x2 = chr(rank + 1), chr(rank - 1), chr(rank + 2)
     s = images[0]
-    s_inv = s[::-1].translate(flip)
-    k = _common_prefix(s, s_inv) if s and s[0] == s_inv[0] else 0
+    k = _cyclic_split(s, s[::-1].translate(flip))
     if len(s) != 2 * k + 1 or s[k] != x1:  # the core must be x_1
         return None
     p, p_inv = s[:k], s[k + 1:]
@@ -177,11 +185,19 @@ class Word:
     def __post_init__(self):
         letters = tuple(self.letters)
         bound = self.bound
-        for a in letters:
-            if not isinstance(a, int) or not 1 <= abs(a) <= bound:
-                raise PreconditionError(
-                    f"letter {a} out of range 1..{bound} for {type(self).__name__}")
-        object.__setattr__(self, "letters", _reduce(letters))
+        # The range is proved at C speed; the per-letter loop runs only to
+        # name the first bad letter, or to accept an int subclass.
+        if letters and not (set(map(type, letters)) == {int}
+                            and -bound <= min(letters) and max(letters) <= bound
+                            and 0 not in letters):
+            for a in letters:
+                if not isinstance(a, int) or not 1 <= abs(a) <= bound:
+                    raise PreconditionError(
+                        f"letter {a} out of range 1..{bound} for {type(self).__name__}")
+        # A word with no adjacent cancelling pair is already reduced.
+        if 0 in map(add, letters, islice(letters, 1, None)):
+            letters = _reduce(letters)
+        object.__setattr__(self, "letters", letters)
 
     def _with(self, letters: Letters):
         return replace(self, letters=letters)

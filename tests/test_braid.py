@@ -15,6 +15,7 @@ from brunnian import (
 )
 from brunnian.braid import (
     MAX_STRANDS,
+    Permutation,
     _action_table,
     _inner_conjugator,
     commutator,
@@ -106,6 +107,21 @@ class TestBraidWord:
         with pytest.raises(PreconditionError):
             BraidWord(3, ("a", "a"))
 
+    def test_first_bad_letter_is_named(self):
+        # The range is proved in bulk; the message still names the first
+        # offending letter, wherever it stands.
+        for letters, bad in (([1] * 1000 + [2, 7, 0, 9], 7), ([2, 0, 9], 0),
+                             ([-1, 1.0, 2], 1.0), ([3, -5], -5)):
+            with pytest.raises(PreconditionError,
+                               match=rf"^letter {bad} out of range 1\.\.3 "):
+                BraidWord(4, letters)
+
+    def test_reduced_letters_are_kept(self):
+        rng = random.Random(303)
+        for _ in range(500):
+            letters = oracles.random_letters(rng, 4, rng.randint(0, 30))
+            assert braid(5, letters).letters == oracles.naive_free_reduce(letters)
+
     def test_float_strand_count_rejected(self):
         with pytest.raises(PreconditionError):
             BraidWord(5.0, (1,))
@@ -137,6 +153,16 @@ class TestPermutation:
         perm = braid(3, [1, 2]).permutation()
         assert perm.images == (3, 1, 2)
 
+    def test_order_is_the_least_identity_power(self):
+        rng = random.Random(304)
+        for _ in range(300):
+            images = list(range(1, rng.randint(1, 12) + 1))
+            rng.shuffle(images)
+            perm, power, k = Permutation(tuple(images)), images, 1
+            while power != sorted(images):
+                power, k = [images[i - 1] for i in power], k + 1
+            assert perm.order() == k
+
 
 class TestRemoveStrand:
     def test_uninvolved_strand(self):
@@ -148,6 +174,15 @@ class TestRemoveStrand:
 
     def test_index_shift(self):
         assert braid(4, [3, 3]).remove_strand(1) == braid(3, [2, 2])
+
+    def test_agrees_with_the_forget_strand_oracle(self):
+        # The sweep reduces as it shifts: forgetting a strand makes
+        # crossings meet and cancel, on either side of it.
+        rng = random.Random(305)
+        for _ in range(300):
+            word = oracles.random_pure_braid(rng, rng.randint(3, 7), 30)
+            for i in range(1, word.n + 1):
+                assert word.remove_strand(i) == oracles.forget_strand(word, i)
 
     def test_moved_strand_rejected(self):
         with pytest.raises(PreconditionError):

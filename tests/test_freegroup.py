@@ -15,8 +15,8 @@ from hypothesis import given, strategies as st
 from brunnian import (BraidWord, LetterBudget, LetterBudgetExceeded,
                       TwistWord)
 from brunnian.errors import PreconditionError
-from brunnian.freegroup import (_common_prefix, _conjugate, _inner_conjugator,
-                                _inverse_table, _product)
+from brunnian.freegroup import (_common_prefix, _conjugate, _cyclic_split,
+                                _inner_conjugator, _inverse_table, _product)
 
 import oracles
 
@@ -85,10 +85,9 @@ def compose(phi, psi):
 
 
 def cyclic_split(letters, rank=RANK):
-    """The split w = p core p^-1 that _inner_conjugator makes, unpacked."""
+    """The split w = p core p^-1 of _cyclic_split, unpacked."""
     w = oracles.pack(rank, letters)
-    w_inv = invert(rank, w)
-    k = _common_prefix(w, w_inv) if w and w[0] == w_inv[0] else 0
+    k = _cyclic_split(w, invert(rank, w))
     return oracles.unpack(rank, w[:k]), oracles.unpack(rank, w[k:len(w) - k])
 
 
