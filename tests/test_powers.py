@@ -68,7 +68,7 @@ def order(perm):
 def conjugated_power(n, v, u, k):
     """v u^m v^-1 with m = k times the order of u's permutation, so pure."""
     m = k * order(BraidWord(n, u).permutation().images)
-    return [*v, *u * m, *oracles.inverse(v)], m
+    return [*v, *u * m, *oracles.inverse(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,7 @@ def test_powers_of_each_base_are_trivial(n):
         for k in (1, 2, 3, 7, 60, 1001):
             v = oracles.random_letters(rng, n - 1, rng.randint(0, 5))
             word = BraidWord(n, [*v, *base * (o * k), *oracles.inverse(v)])
-            budget = LetterBudget(50_000)
-            assert _is_inner(word, budget) is True
+            assert _is_inner(word, LetterBudget(50_000)) is True
             assert is_trivial_sphere(word, LetterBudget(50_000)) is True
             extra = BraidWord(n, base * (o * k + 1))
             assert is_trivial_sphere(extra) is False
@@ -131,7 +130,7 @@ def seeded_powers(seed, count):
             if rng.random() < 0.3:
                 u += oracles.random_letters(rng, n - 1, rng.randint(1, 3))
         v = oracles.random_letters(rng, n - 1, rng.randint(0, 4))
-        letters, _ = conjugated_power(n, v, u, rng.randint(1, 4))
+        letters = conjugated_power(n, v, u, rng.randint(1, 4))
         word = project(TwistWord(letters)) if genus2 else BraidWord(n, letters)
         if word.letters:
             words.append(word)
@@ -173,7 +172,7 @@ def powers(draw):
         w = draw(st.lists(letter, max_size=3))
         u = [*w, *base, *oracles.inverse(w)]
     v = draw(st.lists(letter, max_size=4))
-    letters, _ = conjugated_power(n, v, u, draw(st.integers(1, 4)))
+    letters = conjugated_power(n, v, u, draw(st.integers(1, 4)))
     return project(TwistWord(letters)) if genus2 else BraidWord(n, letters)
 
 
