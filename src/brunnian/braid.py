@@ -37,25 +37,24 @@ does not is nontrivial.  Burau is unfaithful from five strands up
 (Bigelow 1999), so the screen only proves nontriviality and passes the
 other words to the engine.  On six strands, t = -1, it reads the
 homology of the genus-2 lift, which genus 2 has read already, so its
-projections skip the screen (though not on the powers below).
+projections skip the screen.
 
 Powers
 ------
 The engine stage first splits the word as v u^m v^-1, with u^m
 cyclically reduced and u not a proper power: v is the longest common
 prefix of the word and its inverse (freegroup._cyclic_split), and u the
-least period of the packed core, one C-level string search.  A periodic
-class of the n-punctured sphere is conjugate to a rotation (Nielsen
-realisation with Kerekjarto's theorem), so its order divides n, n-1 or
-n-2.  The word is therefore trivial exactly when the order of u
-divides m, that is when u^gcd(m, d) is trivial for some d in
-{n, n-1, n-2}.  With m = 1 the engine runs on the whole word, as
-without the split.  Otherwise every such power that is pure and passes
-the screen goes to the engine, least exponent first; one divisor per d
-rather than gcd(m, lcm(n, n-1, n-2)) keeps each run short.  The split,
-the purity tests and the screens are linear in the word and uncharged.
-The genus-2 word problem reaches this stage through its projection to
-six strands.
+least period of the packed core, one C-level string search.  Let q be
+the order of u's puncture permutation; q divides m, as the word is
+pure.  The pure mapping class group of the sphere with n >= 3
+punctures is torsion-free: a periodic class is conjugate to a rotation
+(Nielsen realisation with Kerekjarto's theorem), and a rotation that
+fixes three punctures is the identity.  So u^m, a power of the pure
+class u^q, is trivial exactly when u^q is, and the engine runs once,
+on u^q: on the whole word when q = m, as without the split.  The
+split and the permutation are linear in the word and uncharged.  The
+genus-2 word problem reaches this stage through its projection to six
+strands.
 
 Brunnian membership
 -------------------
@@ -76,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Optional
 
 from .budget import LetterBudget, unless_aborted
@@ -178,9 +177,8 @@ class BraidWord(Word):
 
         Requires permutation(self) to fix i.  The sweep keeps the
         current position of the forgotten strand, drops the crossings
-        that involve it, renumbers crossings to its right and reduces
-        the output as a stack in the same loop; the strand's final
-        position is its image under the permutation.
+        that involve it and renumbers crossings to its right; the
+        strand's final position is its image under the permutation.
         """
         if not 1 <= i <= self.n:
             raise PreconditionError(f"strand {i} out of range")
@@ -190,14 +188,10 @@ class BraidWord(Word):
             j = abs(a)
             if j == pos:
                 pos += 1
-                continue
-            if j == pos - 1:
+            elif j == pos - 1:
                 pos -= 1
-                continue
-            if j > pos:
-                a = a - 1 if a > 0 else a + 1
-            if out and out[-1] == -a:
-                out.pop()
+            elif j > pos:
+                out.append(j - 1 if a > 0 else -(j - 1))
             else:
                 out.append(a)
         if pos != i:
@@ -287,38 +281,22 @@ def _screened(word: BraidWord) -> Optional[bool]:
 def _is_inner(word: BraidWord, budget: LetterBudget) -> bool:
     """The engine stage: triviality of a pure word on n >= 4 strands.
 
-    The word is split as v u^m v^-1 with u^m cyclically reduced and u
-    not a proper power, in linear uncharged work.  With m = 1 the engine
-    runs on the whole word.  Otherwise the word is trivial exactly when
-    u^g is for some g = gcd(m, d), d in {n, n-1, n-2} (see Powers in the
-    module docstring), and each such u^g that is pure and passes the
-    screen goes to the engine, least g first, until one is inner.
+    The word is v u^m v^-1 with u^m cyclically reduced and u not a
+    proper power, and u^m is trivial exactly when the pure power u^q is,
+    q the order of u's permutation (see Powers in the module docstring).
+    The engine runs on u^q, or on the whole word when q = m.
     """
     n, letters = word.n, word.letters
     s = _pack(n - 1, letters)
     k = _cyclic_split(s, s[::-1].translate(_inverse_table(n - 1)))
     core = s[k:len(s) - k]
-    period = (core + core).find(core, 1)  # the least period of the core
-    if not 0 < period < len(core):  # empty, or not a proper power
-        return _engine(word, budget)
-    m = len(core) // period
-    order = BraidWord(n, letters[k:k + period]).permutation().order()
-    for g in sorted({gcd(m, d) for d in (n, n - 1, n - 2)}):
-        if g % order:
-            continue  # u^g moves a puncture
-        power = BraidWord(n, letters[k:k + g * period])
-        # The screen has already read the word, or (on genus 2) its
-        # homology, so it runs on the proper powers u^g, g < m, only.
-        if (g == m or _burau_passes(power)) and _engine(power, budget):
-            return True
-    return False
-
-
-def _engine(word: BraidWord, budget: LetterBudget) -> bool:
-    """Whether the word's action on the fundamental group is inner, which
-    for a pure word on n >= 4 strands is its triviality."""
-    table = _action_table(word.n, word.letters, budget)
-    return _inner_conjugator(word.n - 1, table) is not None
+    if core:
+        period = (core + core).find(core, 1)  # the least period of the core
+        q = BraidWord(n, letters[k:k + period]).permutation().order()
+        if q * period < len(core):
+            letters = letters[k:k + q * period]
+    table = _action_table(n, letters, budget)
+    return _inner_conjugator(n - 1, table) is not None
 
 
 # ---------------------------------------------------------------------------

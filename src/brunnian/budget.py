@@ -11,13 +11,13 @@ outcome instead of guessing.
 
 Linear-cost word operations (reduction, concatenation, inversion,
 strand removal, and the power reduction in front of the engine: the
-cyclic split, the least period and the purity tests and screens of the
-powers it tries) and the per-strand tables are not charged: they are
-bounded by the word and by the strand count, which BraidWord caps at
-braid.MAX_STRANDS.  So the letters charged are still exactly the
-substitution output of the action tables, on the powers the engine
-runs on.  Substitution output counts, as do the parser's expansion
-of powers and commutators and the word the ``example`` command builds.
+cyclic split, the least period and the permutation of the period) and
+the per-strand tables are not charged: they are bounded by the word and
+by the strand count, which BraidWord caps at braid.MAX_STRANDS.  So the
+letters charged are still exactly the substitution output of the
+action tables, on the power the engine runs on.  Substitution output
+counts, as do the parser's expansion of powers and commutators and the
+word the ``example`` command builds.
 """
 
 from .errors import LetterBudgetExceeded, PreconditionError

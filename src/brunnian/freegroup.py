@@ -25,8 +25,6 @@ element, and that element is recovered exactly or ruled out.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import islice
-from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
@@ -69,7 +67,7 @@ _SCAN = 8  # letters compared one at a time before a seam gallops
 
 def _pack(rank: int, letters: Iterable[int]) -> str:
     """The packed word of rank ``rank`` with the given letters."""
-    return "".join(map(chr, map(rank.__add__, letters)))
+    return "".join(chr(rank + a) for a in letters)
 
 
 def _inverse_table(rank: int) -> dict[int, int]:
@@ -185,19 +183,11 @@ class Word:
     def __post_init__(self):
         letters = tuple(self.letters)
         bound = self.bound
-        # The range is proved at C speed; the per-letter loop runs only to
-        # name the first bad letter, or to accept an int subclass.
-        if letters and not (set(map(type, letters)) == {int}
-                            and -bound <= min(letters) and max(letters) <= bound
-                            and 0 not in letters):
-            for a in letters:
-                if not isinstance(a, int) or not 1 <= abs(a) <= bound:
-                    raise PreconditionError(
-                        f"letter {a} out of range 1..{bound} for {type(self).__name__}")
-        # A word with no adjacent cancelling pair is already reduced.
-        if 0 in map(add, letters, islice(letters, 1, None)):
-            letters = _reduce(letters)
-        object.__setattr__(self, "letters", letters)
+        for a in letters:
+            if not isinstance(a, int) or not 1 <= abs(a) <= bound:
+                raise PreconditionError(
+                    f"letter {a} out of range 1..{bound} for {type(self).__name__}")
+        object.__setattr__(self, "letters", _reduce(letters))
 
     def _with(self, letters: Letters):
         return replace(self, letters=letters)

@@ -165,7 +165,7 @@ def corpus() -> list[list[str]]:
     # the sphere and 6 on genus 2, and of s1 s2, whose sixth power is the
     # three-strand full twist: a nontrivial class that the six-strand screen
     # passes.  An engine run on the whole word overruns the cap, one on
-    # u^gcd(m, d) for d in {n, n - 1, n - 2} stays well inside it.
+    # the least pure power of u stays well inside it.
     for surface, text in (("sphere:5", "(s1 s2 s3 s4)^250"),
                           ("sphere:6", "(s1 s2 s3 s4)^250"),
                           ("sphere:7", "(s1 s2 s3 s4 s5 s5)^250"),

@@ -176,8 +176,8 @@ class TestRemoveStrand:
         assert braid(4, [3, 3]).remove_strand(1) == braid(3, [2, 2])
 
     def test_agrees_with_the_forget_strand_oracle(self):
-        # The sweep reduces as it shifts: forgetting a strand makes
-        # crossings meet and cancel, on either side of it.
+        # Forgetting a strand makes crossings meet and cancel, on either
+        # side of it.
         rng = random.Random(305)
         for _ in range(300):
             word = oracles.random_pure_braid(rng, rng.randint(3, 7), 30)

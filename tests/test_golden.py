@@ -11,7 +11,7 @@ needs the engine, crosses the cap, full twists, powers of the genus-2
 chain and of the hyperelliptic involution (trivial words, whose
 ``letters_used`` pins one engine run in place of one per removal),
 long powers u^m at a 5000-letter cap that only the engine run on
-u^gcd(m, d) fits in, and seeded random pure sphere words and genus-2
+the least pure power of u fits in, and seeded random pure sphere words and genus-2
 words.  It also pins ``project`` (the genus-2 flagship and a
 seeded random twist word), ``homology`` exact and modulo 3, 7 and
 2^61 - 1, ``example`` on ``sphere:5..9`` and ``genus2``, each in text
