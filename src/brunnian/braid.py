@@ -23,7 +23,8 @@ fundamental group is inner.  After that purity test one rule,
 ``_is_trivial_pure``, decides every pure word by exact stages, the
 first that decides giving the answer: collapse (the empty word and
 every pure word on three strands are trivial); screen (below); engine
-(``_is_inner``: power reduction, below, then freegroup inner detection).
+(``_is_inner``: freegroup inner detection).  Screen and engine read
+the word's least pure power (Powers, below).
 
 The screen is the Burau representation at a primitive d-th root of
 unity t, with d = 2 for even n and d = n for odd n, over a prime field
@@ -41,20 +42,30 @@ projections skip the screen.
 
 Powers
 ------
-The engine stage first splits the word as v u^m v^-1, with u^m
-cyclically reduced and u not a proper power: v is the longest common
-prefix of the word and its inverse (freegroup._cyclic_split), and u the
-least period of the packed core, one C-level string search.  Let q be
-the order of u's puncture permutation; q divides m, as the word is
-pure.  The pure mapping class group of the sphere with n >= 3
-punctures is torsion-free: a periodic class is conjugate to a rotation
-(Nielsen realisation with Kerekjarto's theorem), and a rotation that
-fixes three punctures is the identity.  So u^m, a power of the pure
-class u^q, is trivial exactly when u^q is, and the engine runs once,
-on u^q: on the whole word when q = m, as without the split.  The
-split and the permutation are linear in the word and uncharged.  The
-genus-2 word problem reaches this stage through its projection to six
-strands.
+A pure word is split once as v u^m v^-1, with u^m cyclically reduced
+and u not a proper power: v is the longest common prefix of the word
+and its inverse (freegroup._cyclic_split), and u the least period of
+the packed core, one C-level string search.  Let q be the order of u's
+puncture permutation; q divides m, as the word is pure.  The pure
+mapping class group of the sphere with n >= 3 punctures is
+torsion-free: a periodic class is conjugate to a rotation (Nielsen
+realisation with Kerekjarto's theorem), and a rotation that fixes three
+punctures is the identity.  So u^m, a power of the pure class u^q, is
+trivial exactly when u^q is.  The split is computed once per word
+object (``BraidWord._least_power``) and read by both stages that follow
+collapse:
+
+* the screen reads v u^q v^-1.  It stops every word that the screen of
+  the whole word stops, and sometimes more.  Every braid fixes the
+  screen's vector (1, t, ..., t^(n-1)); call it f, and let w be the
+  screen's other vector carried through v.  If u^q keeps w in span(w, f),
+  so does every power of u^q, u^m among them.  A rejection of
+  v u^q v^-1 proves u^q, and so u^m, nontrivial;
+* the engine runs once, on u^q.
+
+When q = m both read the whole word, as without the split.  The split
+and the permutation are linear in the word and uncharged.  The genus-2
+word problem reaches the engine through its projection to six strands.
 
 Brunnian membership
 -------------------
@@ -73,7 +84,7 @@ removal.  A budget abort leaves the strands after it undecided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Optional
@@ -171,6 +182,22 @@ class BraidWord(Word):
         for pos in range(1, self.n + 1):
             out[at[pos]] = pos
         return Permutation(tuple(out[1:]))
+
+    @cached_property
+    def _least_power(self) -> tuple[Letters, Letters]:
+        """v u^q v^-1 and u^q for a pure word v u^m v^-1 (see Powers in the
+        module docstring); both are the word's own letters when q = m."""
+        n, letters = self.n, self.letters
+        s = _pack(n - 1, letters)
+        k = _cyclic_split(s, s[::-1].translate(_inverse_table(n - 1)))
+        core = s[k:len(s) - k]
+        period = (core + core).find(core, 1)  # the least period of the core
+        if 0 < period < len(core):  # u^m with m >= 2
+            q = BraidWord(n, letters[k:k + period]).permutation().order()
+            if q * period < len(core):
+                end = k + q * period
+                return letters[:end] + letters[len(letters) - k:], letters[k:end]
+        return letters, letters
 
     def remove_strand(self, i: int) -> "BraidWord":
         """Forget strand i, realising the strand-removal homomorphism on words.
@@ -272,9 +299,13 @@ def _is_trivial_pure(word: BraidWord, budget: LetterBudget) -> bool:
 def _screened(word: BraidWord) -> Optional[bool]:
     """The stages before the engine on a pure word: True when it
     collapses, False when the screen proves it nontrivial, None when
-    only the engine can decide."""
+    only the engine can decide.  The screen reads v u^q v^-1 (see
+    Powers in the module docstring)."""
     if not word.letters or word.n == 3:
         return True
+    letters, _ = word._least_power
+    if len(letters) < len(word.letters):
+        word = BraidWord(word.n, letters)
     return None if _burau_passes(word) else False
 
 
@@ -286,17 +317,8 @@ def _is_inner(word: BraidWord, budget: LetterBudget) -> bool:
     q the order of u's permutation (see Powers in the module docstring).
     The engine runs on u^q, or on the whole word when q = m.
     """
-    n, letters = word.n, word.letters
-    s = _pack(n - 1, letters)
-    k = _cyclic_split(s, s[::-1].translate(_inverse_table(n - 1)))
-    core = s[k:len(s) - k]
-    if core:
-        period = (core + core).find(core, 1)  # the least period of the core
-        q = BraidWord(n, letters[k:k + period]).permutation().order()
-        if q * period < len(core):
-            letters = letters[k:k + q * period]
-    table = _action_table(n, letters, budget)
-    return _inner_conjugator(n - 1, table) is not None
+    table = _action_table(word.n, word._least_power[1], budget)
+    return _inner_conjugator(word.n - 1, table) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ as exhausted: later charges raise again and add nothing.  Callers that
 report verdicts in-band translate the abort into an "undetermined"
 outcome instead of guessing.
 
-Linear-cost word operations (reduction, concatenation, inversion,
-strand removal, and the power reduction in front of the engine: the
-cyclic split, the least period and the permutation of the period) and
-the per-strand tables are not charged: they are bounded by the word and
-by the strand count, which BraidWord caps at braid.MAX_STRANDS.  So the
-letters charged are still exactly the substitution output of the
-action tables, on the power the engine runs on.  Substitution output
-counts, as do the parser's expansion of powers and commutators and the
-word the ``example`` command builds.
+Linear-cost work is not charged: word operations (reduction,
+concatenation, inversion, strand removal), the split of a word into
+its least pure power (the cyclic split, the least period and the
+permutation of the period), the Burau screen on that power, the
+homology action's column operations, and the per-strand tables.  It is
+bounded by the word and by the strand count, which BraidWord caps at
+braid.MAX_STRANDS.  So the letters charged are still exactly the
+substitution output of the action tables, on the power the engine runs
+on.  Substitution output counts, as do the parser's expansion of powers
+and commutators and the word the ``example`` command builds.
 """
 
 from .errors import LetterBudgetExceeded, PreconditionError

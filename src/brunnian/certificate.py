@@ -16,7 +16,8 @@ produce byte-identical documents on any platform.
 from __future__ import annotations
 
 import json
-from itertools import groupby
+from itertools import compress, count
+from operator import ne
 from typing import Any, Mapping, Sequence
 
 from .errors import PreconditionError
@@ -89,12 +90,24 @@ def render_letters(prefix: str, letters: Sequence[int]) -> str:
 
     Maximal runs of one signed letter collapse to ``prefix{i}^{k}``;
     single positive letters render bare.  The output reparses to the
-    same letter sequence.
+    same letter sequence.  The run starts, where a letter differs from
+    the one before, are found in C; the letters between runs longer
+    than one are joined from a table of their names.
     """
-    parts = []
-    for a, run in groupby(letters):
-        exp = len(list(run)) * (1 if a > 0 else -1)
-        parts.append(f"{prefix}{abs(a)}" + ("" if exp == 1 else f"^{exp}"))
+    letters = tuple(letters)
+    names = {a: f"{prefix}{a}" if a > 0 else f"{prefix}{-a}^-1"
+             for a in set(letters)}
+    starts = [*compress(count(), map(ne, letters, (0, *letters))), len(letters)]
+    parts, done = [], 0
+    for start, end in zip(starts, starts[1:]):
+        if end - start > 1:
+            if done < start:
+                parts.append(" ".join(map(names.__getitem__, letters[done:start])))
+            a = letters[start]
+            parts.append(f"{prefix}{abs(a)}^{end - start if a > 0 else start - end}")
+            done = end
+    if done < len(letters):
+        parts.append(" ".join(map(names.__getitem__, letters[done:])))
     return " ".join(parts)
 
 

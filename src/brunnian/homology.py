@@ -17,9 +17,12 @@ sign convention is fixed once and recorded in emitted certificates.
 
 Everything here is exact integer arithmetic on 4x4 matrices; no floats.
 A matrix is its rows, a tuple of four 4-tuples of ints, and verdicts
-compare it with IDENTITY or NEG_IDENTITY.  Each input is checked once: a
-word's letters by the word's constructor, a modulus by _modulus, rows by
-_matrix, a polynomial by casson_bleiler.
+compare it with IDENTITY or NEG_IDENTITY.  A word's action is built
+letter by letter as column operations: each transvection adds plus or
+minus one column, or the sum of two, to one or two others (see _act).
+Each input is checked once: a word's letters by the word's
+constructor, a modulus by _modulus, rows by _matrix, a polynomial by
+casson_bleiler.
 """
 
 from __future__ import annotations
@@ -102,49 +105,74 @@ def mod(rows, q: int) -> Rows:
                  for row in _matrix(rows))  # type: ignore[return-value]
 
 
-# J c for each chain class c: the coefficients of the functional x -> <x, c>.
-_CHAIN_DUALS = tuple(tuple(sum(J[j][k] * c[k] for k in range(4))
-                           for j in range(4)) for c in CHAIN_CLASSES)
-
-
 def _act(word, p: int | None) -> Rows:
     """Rows of the homology action of ``word``, exact when p is None,
     else modulo p.  ``word`` must be a Word whose bound is at most five;
     its constructor checked its letters.
 
-    Each letter applies its transvection in place as
-    M <- M + s (M c)(Jc)^T.  Every _CHECK_EVERY letters, and at the end,
-    the exact rows are checked against _MAX_DECIMAL_BITS (an entry above
-    it refuses the word with PreconditionError) and the modular rows are
-    reduced into (-p, p) keeping their sign, so small entries stay small;
-    either way the work stays linear in the length of the word.
+    Each letter right-multiplies M by its transvection I + s c (Jc)^T,
+    which adds s (Mc)(Jc)^T: Jc has one or two entries, both -1 or both
+    +1, so the letter adds plus or minus Mc to one or two columns, and Mc
+    is one column or, for c3 = a1 + a2, the sum of two.  For s = +1 (a
+    positive letter while TWIST_SIGN = 1; s = -1 flips every sign):
+
+        d1: col1 -= col0              d4: col2 += col3
+        d2: col0 += col1              d5: col3 -= col2
+        d3: col1 -= col0 + col2, col3 -= col0 + col2
+
+    The sixteen entries are locals, mij in row i and column j.  Every
+    _CHECK_EVERY letters, and at the end, the exact entries are checked
+    against _MAX_DECIMAL_BITS (an entry above it refuses the word with
+    PreconditionError) and the modular ones are reduced into (-p, p)
+    keeping their sign, so small entries stay small; either way the
+    work stays linear in the length of the word.
     """
     if not isinstance(word, Word) or word.bound > len(CHAIN_CLASSES):
         raise PreconditionError(
             "homology takes a TwistWord or a BraidWord on at most six strands")
-    letters = word.letters
-    m = [list(row) for row in IDENTITY]
+    letters = word.letters if TWIST_SIGN > 0 else tuple(-a for a in word.letters)
+    m = sum(IDENTITY, ())  # row-major
     for start in range(0, len(letters), _CHECK_EVERY):
+        (m00, m01, m02, m03, m10, m11, m12, m13,
+         m20, m21, m22, m23, m30, m31, m32, m33) = m
         for a in letters[start:start + _CHECK_EVERY]:
-            c, jc = CHAIN_CLASSES[abs(a) - 1], _CHAIN_DUALS[abs(a) - 1]
-            s = TWIST_SIGN if a > 0 else -TWIST_SIGN
-            for row in m:
-                t = s * (row[0] * c[0] + row[1] * c[1]
-                         + row[2] * c[2] + row[3] * c[3])
-                if t:
-                    row[0] += t * jc[0]
-                    row[1] += t * jc[1]
-                    row[2] += t * jc[2]
-                    row[3] += t * jc[3]
+            if a > 0:
+                if a == 1:
+                    m01, m11, m21, m31 = m01 - m00, m11 - m10, m21 - m20, m31 - m30
+                elif a == 2:
+                    m00, m10, m20, m30 = m00 + m01, m10 + m11, m20 + m21, m30 + m31
+                elif a == 3:
+                    t0, t1, t2, t3 = m00 + m02, m10 + m12, m20 + m22, m30 + m32
+                    m01, m11, m21, m31 = m01 - t0, m11 - t1, m21 - t2, m31 - t3
+                    m03, m13, m23, m33 = m03 - t0, m13 - t1, m23 - t2, m33 - t3
+                elif a == 4:
+                    m02, m12, m22, m32 = m02 + m03, m12 + m13, m22 + m23, m32 + m33
+                else:
+                    m03, m13, m23, m33 = m03 - m02, m13 - m12, m23 - m22, m33 - m32
+            elif a == -1:
+                m01, m11, m21, m31 = m01 + m00, m11 + m10, m21 + m20, m31 + m30
+            elif a == -2:
+                m00, m10, m20, m30 = m00 - m01, m10 - m11, m20 - m21, m30 - m31
+            elif a == -3:
+                t0, t1, t2, t3 = m00 + m02, m10 + m12, m20 + m22, m30 + m32
+                m01, m11, m21, m31 = m01 + t0, m11 + t1, m21 + t2, m31 + t3
+                m03, m13, m23, m33 = m03 + t0, m13 + t1, m23 + t2, m33 + t3
+            elif a == -4:
+                m02, m12, m22, m32 = m02 - m03, m12 - m13, m22 - m23, m32 - m33
+            else:
+                m03, m13, m23, m33 = m03 + m02, m13 + m12, m23 + m22, m33 + m32
+        m = (m00, m01, m02, m03, m10, m11, m12, m13,
+             m20, m21, m22, m23, m30, m31, m32, m33)
         if p is not None:
-            m = [[x % p if x >= 0 else -(-x % p) for x in row] for row in m]
+            m = [x % p if x >= 0 else -(-x % p) for x in m]
             continue
-        bits = max(abs(x) for row in m for x in row).bit_length()
+        bits = max(map(abs, m)).bit_length()
         if bits > _MAX_DECIMAL_BITS:
             raise PreconditionError(
                 f"a homology entry of {bits} bits exceeds the limit of "
                 f"{_MAX_DECIMAL_BITS} bits")
-    return tuple(map(tuple, m))  # type: ignore[return-value]
+    return (tuple(m[0:4]), tuple(m[4:8]),  # type: ignore[return-value]
+            tuple(m[8:12]), tuple(m[12:16]))
 
 
 def rho(word) -> Rows:

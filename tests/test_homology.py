@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from brunnian import (
     BraidWord,
@@ -18,6 +19,7 @@ from brunnian.homology import (
     NEG_IDENTITY,
     SCREEN_MODULUS,
     TWIST_SIGN,
+    _act,
     mod,
 )
 
@@ -358,6 +360,44 @@ class TestRho:
         for word in ((7,), BraidWord(7, (6,))):
             with pytest.raises(PreconditionError, match="modulus"):
                 rho_mod(word, 2 ** 63)
+
+
+class TestColumnOperations:
+    """_act applies each letter as one or two column operations; it must
+    give the product of the oracle's transvection matrices, exactly and
+    modulo every modulus verdicts read, across many 64-letter checks."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 5).flatmap(lambda i: st.sampled_from([i, -i])),
+                    max_size=300))
+    def test_matches_the_product_of_transvection_matrices(self, letters):
+        word = TwistWord(letters)
+        product = IDENTITY_ROWS
+        for a in word.letters:
+            product = oracles.mat_mul(product, twist(a))
+        assert _act(word, None) == product
+        for p in (SCREEN_MODULUS, 3):
+            reduced = _act(word, p)
+            assert all(-p < x < p for row in reduced for x in row)
+            assert mod(reduced, p) == mod(product, p)
+
+    def test_every_generator_and_inverse(self):
+        for a in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5):
+            assert _act(TwistWord((a,)), None) == twist(a)
+            assert _act(BraidWord(6, (a, a)), None) \
+                == oracles.mat_mul(twist(a), twist(a))
+
+    def test_a_growing_word_is_refused_at_the_same_check(self):
+        # Pinned from the row-by-row action: the entries of this word first
+        # pass 14,000 bits at the check after letter 26,240 (13,967 bits
+        # at the check before), 165 letters before its end.
+        letters = (5, -2, -4, 3) * 6600 + (1,) * 5
+        message = "a homology entry of 14001 bits exceeds the limit of 14000 bits"
+        for end in (26_240, len(letters)):
+            with pytest.raises(PreconditionError) as err:
+                _act(TwistWord(letters[:end]), None)
+            assert str(err.value) == message
+        assert max_entry_bits(_act(TwistWord(letters[:26_176]), None)) == 13_967
 
 
 class TestCharPolynomial:

@@ -1,6 +1,8 @@
 import random
+from itertools import groupby
 
 import pytest
+from hypothesis import given, strategies as st
 
 from brunnian import (
     BraidWord,
@@ -217,6 +219,18 @@ class TestRender:
         assert render_word(BraidWord(5, (1, 1, -2))) == "s1^2 s2^-1"
         assert render_word(TwistWord((1, 1, -2))) == "d1^2 d2^-1"
         assert render_word(TwistWord()) == ""
+
+    @given(st.sampled_from("sd"), st.lists(
+        st.sampled_from((1, -1, 2, -2, 12, -12)), max_size=40))
+    def test_matches_a_run_by_run_renderer(self, prefix, letters):
+        # Letters drawn from a few values, so runs of every length and
+        # runs at both ends occur; byte for byte the same text.
+        parts = []
+        for a, run in groupby(letters):
+            exp = len(list(run)) * (1 if a > 0 else -1)
+            parts.append(f"{prefix}{abs(a)}" + ("" if exp == 1 else f"^{exp}"))
+        assert render_letters(prefix, letters) == " ".join(parts)
+        assert render_letters(prefix, tuple(letters)) == " ".join(parts)
 
     def test_parse_render_parse_roundtrip_sphere(self):
         rng = random.Random(501)

@@ -1,9 +1,10 @@
-"""Power reduction in the engine stage, ``braid._is_inner``.
+"""Power reduction: the screen and the engine read the least pure power.
 
 The pure mapping class group of the n-punctured sphere is torsion-free,
 so a word v u^m v^-1, with u not a proper power, is trivial exactly when
-u^q is, q the order of u's permutation, and the engine runs on u^q
-alone (on the whole word when q = m).
+u^q is, q the order of u's permutation.  The Burau screen runs on
+v u^q v^-1 and the engine on u^q alone (both on the whole word when
+q = m), from one split cached on the word.
 
 * Bases of each order: s1...s_{n-1} (order n), s1...s_{n-2} (order
   n - 1) and s1...s_{n-3} s_{n-2}^2 (order n - 2) have exactly that
@@ -14,6 +15,11 @@ alone (on the whole word when q = m).
   sphere:4..8 and on genus-2 projections, ``_is_inner`` gives the
   reference's verdict wherever it decides.  On the seeded words it uses
   under a quarter of the letters in all, and more on none.
+* Against the screen of the whole word: on seeded and generated words
+  g u^m g^-1 on sphere:4..9, every word the whole-word screen rejects is
+  rejected on the least power too, some others are as well, and the
+  verdicts are the reference's.  The letters the screen reads on powers
+  of s1...s_{n-1} do not grow with the exponent.
 """
 
 import random
@@ -21,9 +27,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brunnian import (BraidWord, LetterBudget, TwistWord, is_trivial_genus2,
-                      is_trivial_sphere, project, rho)
-from brunnian.braid import _action_table, _inner_conjugator, _is_inner
+from brunnian import (BraidWord, LetterBudget, TwistWord, brunnian_check,
+                      is_trivial_genus2, is_trivial_sphere, project, rho)
+from brunnian.braid import (_action_table, _burau_passes, _inner_conjugator,
+                            _is_inner, _is_trivial_pure, _screened)
 from brunnian.budget import unless_aborted
 from brunnian.homology import IDENTITY
 
@@ -201,3 +208,76 @@ def test_genus2_verdicts_match_the_definition():
             assert is_trivial_genus2(twist, LetterBudget(10 ** 7)) is (
                 verdict and rho(twist) == IDENTITY)
 
+
+# ---------------------------------------------------------------------------
+# the screen on the least power
+# ---------------------------------------------------------------------------
+
+def random_power(rng, n):
+    """A pure word g u^m g^-1 on n strands: u a random word or a
+    conjugated periodic base, m a multiple of the order of u's
+    permutation."""
+    if rng.random() < 0.5:
+        u = oracles.random_letters(rng, n - 1, rng.randint(1, 6))
+    else:
+        base, _ = rng.choice(bases(n))
+        w = oracles.random_letters(rng, n - 1, rng.randint(0, 3))
+        u = [*w, *base, *oracles.inverse(w)]
+    g = oracles.random_letters(rng, n - 1, rng.randint(0, 5))
+    # Exponents with many divisors reach the powers of u^q whose Burau
+    # image is scalar on the quotient, which only the least power stops.
+    k = rng.choice((1, 2, 3, 4, 6, 12))
+    return BraidWord(n, conjugated_power(n, g, u, k))
+
+
+def check_least_power_screen(word):
+    """Whether the screen on the least power stops a word that the
+    whole-word screen passes; fails when it passes one that the
+    whole-word screen stops, or when the verdict is not the reference's."""
+    whole = _burau_passes(word)
+    least = _screened(word)
+    assert whole or least is False
+    verdict, letters = reference(word)
+    if verdict is not None:
+        budget = LetterBudget(letters)
+        assert _is_trivial_pure(word, budget) is verdict
+        assert budget.used <= letters
+    return whole and least is False
+
+
+def test_seeded_least_power_screen_stops_what_the_whole_word_screen_stops():
+    rng = random.Random(2029)
+    words = [random_power(rng, n) for n in range(4, 10) for _ in range(650)]
+    extra = sum(check_least_power_screen(w) for w in words if w.letters)
+    assert extra >= 30
+
+
+@settings(deadline=None)
+@given(st.integers(4, 9), st.randoms(use_true_random=False))
+def test_least_power_screen_stops_what_the_whole_word_screen_stops(n, rng):
+    word = random_power(rng, n)
+    if word.letters:
+        check_least_power_screen(word)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_screen_reads_no_more_letters_for_higher_powers(monkeypatch, n):
+    # (s1 ... s_{n-1})^(k n) is split as u^m with u = s1 ... s_{n-1} and
+    # q = n, so the screen reads u^n at every k, and each removal, a
+    # power of one removal of u^n, reads the same letters at every k.
+    read = []
+
+    def recorded(word):
+        read.append(len(word.letters))
+        return _burau_passes(word)
+
+    monkeypatch.setattr("brunnian.braid._burau_passes", recorded)
+    per_k = []
+    for k in (1, 2, 5, 40):
+        read.clear()
+        word = BraidWord(n, tuple(range(1, n)) * (k * n))
+        assert is_trivial_sphere(word) is True
+        assert brunnian_check(word).brunnian is True
+        per_k.append(tuple(read))
+    assert per_k[0][0] == n * (n - 1)
+    assert per_k == [per_k[0]] * 4
