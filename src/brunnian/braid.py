@@ -37,8 +37,9 @@ So a trivial word maps a fixed v in H into span(v, u); a word that
 does not is nontrivial.  Burau is unfaithful from five strands up
 (Bigelow 1999), so the screen only proves nontriviality and passes the
 other words to the engine.  On six strands, t = -1, it reads the
-homology of the genus-2 lift, which genus 2 has read already, so its
-projections skip the screen.
+homology of the genus-2 lift.  Genus 2 decides by this same rule on its
+projection, behind a test that its own homology action is the identity
+(genus2).
 
 Powers
 ------
@@ -55,17 +56,18 @@ trivial exactly when u^q is.  The split is computed once per word
 object (``BraidWord._least_power``) and read by both stages that follow
 collapse:
 
-* the screen reads v u^q v^-1.  It stops every word that the screen of
-  the whole word stops, and sometimes more.  Every braid fixes the
-  screen's vector (1, t, ..., t^(n-1)); call it f, and let w be the
-  screen's other vector carried through v.  If u^q keeps w in span(w, f),
-  so does every power of u^q, u^m among them.  A rejection of
-  v u^q v^-1 proves u^q, and so u^m, nontrivial;
+* the screen reads v u^q v^-1, as it stands: made of the word's own
+  letters, joined where they were adjacent in the word, it is reduced.
+  It stops every word that the screen of the whole word stops, and
+  sometimes more.  Every braid fixes the screen's vector
+  (1, t, ..., t^(n-1)); call it f, and let w be the screen's other
+  vector carried through v.  If u^q keeps w in span(w, f), so does
+  every power of u^q, u^m among them.  A rejection of v u^q v^-1
+  proves u^q, and so u^m, nontrivial;
 * the engine runs once, on u^q.
 
 When q = m both read the whole word, as without the split.  The split
-and the permutation are linear in the word and uncharged.  The genus-2
-word problem reaches the engine through its projection to six strands.
+and the permutation are linear in the word and uncharged.
 
 Brunnian membership
 -------------------
@@ -78,7 +80,10 @@ the engine asks the word itself first, once.  Forgetting a strand is a
 homomorphism of pure mapping class groups (the Birman exact sequence),
 so a trivial word makes that removal and every later one trivial with
 no engine run of their own; otherwise the engine decides each such
-removal.  A budget abort leaves the strands after it undecided.
+removal.  A budget abort leaves the strands after it undecided.  Genus 2
+runs the same sweep on its projection, the genus-2 Brunnian subgroup
+being the full preimage of the sphere one; there the word is trivial
+only if its homology action is the identity as well.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .budget import LetterBudget, unless_aborted
 from .certificate import document
@@ -303,10 +308,7 @@ def _screened(word: BraidWord) -> Optional[bool]:
     Powers in the module docstring)."""
     if not word.letters or word.n == 3:
         return True
-    letters, _ = word._least_power
-    if len(letters) < len(word.letters):
-        word = BraidWord(word.n, letters)
-    return None if _burau_passes(word) else False
+    return None if _burau_passes(word.n, word._least_power[0]) else False
 
 
 def _is_inner(word: BraidWord, budget: LetterBudget) -> bool:
@@ -358,15 +360,16 @@ def _burau_field(n: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     return p, t, (*v, -sum(v) % p), tuple(u)
 
 
-def _burau_passes(word: BraidWord) -> bool:
-    """False when the word's Burau image at t takes v out of span(v, u),
-    which proves the pure word nontrivial; one residue update per letter."""
-    p, t, v, u = _burau_field(word.n)
+def _burau_passes(n: int, letters: Iterable[int]) -> bool:
+    """False when the Burau image at t of a pure word on n strands takes
+    v out of span(v, u), which proves it nontrivial; one residue update
+    per letter."""
+    p, t, v, u = _burau_field(n)
     # Signed residues keep the products small when t = -1.
     t, ti = (r - p if 2 * r > p else r for r in (t, pow(t, -1, p)))
     s, si = 1 - t, 1 - ti
     w = list(v)
-    for a in word.letters:
+    for a in letters:
         if a > 0:  # (w_i, w_i+1) -> ((1 - t) w_i + w_i+1, t w_i), i = a
             x = w[a - 1]
             w[a - 1], w[a] = (s * x + w[a]) % p, t * x % p
@@ -411,27 +414,37 @@ class BrunnianReport:
         return False if False in verdicts else None if None in verdicts else True
 
 
-def _strand_verdicts(word: BraidWord, perm: Permutation, budget: LetterBudget,
-                     trivial: Callable[[], Optional[bool]]
-                     ) -> tuple[Optional[bool], ...]:
-    """Triviality of each single-strand removal; ``perm`` is the word's.
+def _strand_sweep(word: BraidWord, budget: LetterBudget,
+                  gate: bool) -> BrunnianReport:
+    """The report of a word's single-strand removals and of the word itself.
+
+    The word is trivial when ``gate`` holds, the word is pure and
+    _is_trivial_pure finds it trivial: brunnian_check passes True,
+    genus 2 whether the homology action of the lift is the identity.
+    That verdict is computed at most once, by the first strand that
+    needs the engine or else at the end.
 
     A word with a nontrivial permutation is immediately not Brunnian:
     moved strands report False, fixed strands stay unevaluated.
     Forgetting a strand of a pure word leaves a pure word, so no removal
     recomputes a permutation.  A removal that collapses or that the
     screen proves nontrivial is decided by that stage.  The first one
-    that needs the engine asks ``trivial()`` first, the caller's
-    memoised verdict on the word (True only if the word, and so every
-    removal, is trivial, since forgetting a strand is a homomorphism):
-    True makes this strand and every later one True, with no removal
-    built; otherwise the engine decides the removal.  Once the budget is
-    exhausted the sweep stops: the remaining strands stay None, with no
-    removal built.
+    that needs the engine asks the word's verdict first (True only if
+    the word, and so every removal, is trivial, since forgetting a
+    strand is a homomorphism): True makes this strand and every later
+    one True, with no removal built; otherwise the engine decides the
+    removal.  Once the budget is exhausted the sweep stops: the
+    remaining strands stay None, with no removal built.
     """
-    n = word.n
+    n, perm = word.n, word.permutation()
     if not perm.is_identity():
-        return tuple(None if perm.fixes(i) else False for i in range(1, n + 1))
+        return BrunnianReport(perm, tuple(None if perm.fixes(i) else False
+                                          for i in range(1, n + 1)), False)
+
+    @cache
+    def trivial() -> Optional[bool]:
+        return gate and unless_aborted(_is_trivial_pure, word, budget)
+
     verdicts = []
     for i in range(1, n + 1):
         if budget.exhausted:
@@ -439,11 +452,13 @@ def _strand_verdicts(word: BraidWord, perm: Permutation, budget: LetterBudget,
         removal = word.remove_strand(i)
         verdict = _screened(removal)
         if verdict is None and trivial():
-            return (*verdicts, *[True] * (n + 1 - i))
+            verdicts += [True] * (n + 1 - i)
+            break
         if verdict is None and not budget.exhausted:
             verdict = unless_aborted(_is_inner, removal, budget)
         verdicts.append(verdict)
-    return (*verdicts, *[None] * (n - len(verdicts)))
+    return BrunnianReport(perm, (*verdicts, *[None] * (n - len(verdicts))),
+                          trivial())
 
 
 def brunnian_check(word: BraidWord,
@@ -452,20 +467,10 @@ def brunnian_check(word: BraidWord,
 
     Accepts n >= 4; certification (see certify_pa_sphere) additionally
     requires n >= 5.  Budget aborts leave the affected verdicts None.
-    The word's own verdict is computed at most once, by the first strand
-    that needs the engine or else at the end.
     """
     if word.n < 4:
         raise PreconditionError("Brunnian checks need at least four strands")
-    budget = LetterBudget() if budget is None else budget
-    perm = word.permutation()
-
-    @cache
-    def trivial() -> Optional[bool]:
-        return unless_aborted(_is_trivial_pure, word, budget)
-
-    per_strand = _strand_verdicts(word, perm, budget, trivial)
-    return BrunnianReport(perm, per_strand, perm.is_identity() and trivial())
+    return _strand_sweep(word, LetterBudget() if budget is None else budget, True)
 
 
 def certify_pa_sphere(word: BraidWord,

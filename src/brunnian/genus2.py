@@ -9,9 +9,13 @@ A twist word is therefore trivial exactly when its projection is
 trivial on the sphere and its integral homology action is the identity;
 the homology side separates the identity from the involution, modulo
 any odd modulus too, so verdicts compare rho_mod(word, SCREEN_MODULUS)
-with homology.IDENTITY and certificates print the exact rows.  No Burau
-screen runs on the projection: on six strands it reads this same
-homology, so it would always pass after the identity test.
+with homology.IDENTITY and certificates print the exact rows.  Past
+that test the projection meets the sphere rule (braid): purity, then
+collapse, screen and engine.  On six strands the screen reads this same
+homology, but of the projection's least pure power, which need not act
+as the word does, so it still stops some projections before the engine.
+The genus-2 Brunnian subgroup is the full preimage of the sphere one, so
+membership is the projection's strand sweep behind the same test.
 
 The involution is represented by the standard palindromic word
 D1 D2 D3 D4 D5 D5 D4 D3 D2 D1.  The word itself is never trusted: both
@@ -21,19 +25,17 @@ machine-checked the first time it is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 from . import homology
 from .braid import (
     BraidWord,
     BrunnianReport,
-    Permutation,
-    _is_inner,
-    _strand_verdicts,
+    _strand_sweep,
     is_trivial_sphere,
 )
-from .budget import LetterBudget, unless_aborted
+from .budget import LetterBudget
 from .certificate import _decimal, document
 from .freegroup import Letters, Word, commutator  # noqa: F401 (public name)
 
@@ -73,26 +75,16 @@ def involution_word() -> TwistWord:
     return word
 
 
-def _is_trivial(action: homology.Rows, projection: BraidWord,
-                perm: Permutation, budget: LetterBudget) -> bool:
-    """Genus-2 triviality: the screened action is the identity and the
-    pure projection is empty or the engine finds its action inner."""
-    return (action == homology.IDENTITY and perm.is_identity()
-            and (not projection.letters or _is_inner(projection, budget)))
-
-
 def is_trivial_genus2(word: TwistWord,
                       budget: LetterBudget | None = None) -> bool:
     """Exact triviality in the genus-2 mapping class group.
 
-    True exactly when the projection is trivial on the six-punctured
-    sphere and the screened homology action is the identity, which is
-    read first: it is cheap and already rules out the involution coset.
+    True exactly when the screened homology action is the identity and
+    the projection is trivial on the six-punctured sphere.  The action
+    is read first: it is cheap and already rules out the involution coset.
     """
-    projection = project(word)
-    return _is_trivial(homology.rho_mod(word, homology.SCREEN_MODULUS),
-                       projection, projection.permutation(),
-                       LetterBudget() if budget is None else budget)
+    return (homology.rho_mod(word, homology.SCREEN_MODULUS) == homology.IDENTITY
+            and is_trivial_sphere(project(word), budget))
 
 
 def membership_theorem12(word: TwistWord,
@@ -105,8 +97,8 @@ def membership_theorem12(word: TwistWord,
     word's own triviality and ``rho_mod3_identity``; certificate.conclude
     reads a member from ``brunnian`` and ``rho_mod3_identity`` both True.
     Budget aborts leave the affected verdicts None.  The homology action
-    is screened once; the exact engine runs on the projection only when
-    it is the identity.
+    is screened once; the word's own verdict asks the projection only
+    when that action is the identity.
     """
     return _membership(word, homology.rho_mod(word, homology.SCREEN_MODULUS),
                        LetterBudget() if budget is None else budget)
@@ -114,23 +106,12 @@ def membership_theorem12(word: TwistWord,
 
 def _membership(word: TwistWord, action: homology.Rows,
                 budget: LetterBudget) -> BrunnianReport:
-    """membership_theorem12 with the word's screened action given.
-
-    The strands ask the word's own verdict as they need it: a trivial
-    word has a trivial projection, and that runs the engine only when
-    the action is the identity, where the verdict runs it anyway.
-    """
-    projection = project(word)
-    perm = projection.permutation()
-
-    @cache
-    def trivial() -> bool | None:
-        return unless_aborted(_is_trivial, action, projection, perm, budget)
-
-    return BrunnianReport(
-        perm, _strand_verdicts(projection, perm, budget, trivial),
-        trivial=trivial(),
-        rho_mod3_identity=homology.mod(action, 3) == homology.IDENTITY)
+    """membership_theorem12 with the word's screened action given: the
+    projection's strand sweep, its own verdict gated on that action
+    being the identity, and the action modulo 3."""
+    report = _strand_sweep(project(word), budget, action == homology.IDENTITY)
+    return replace(report,
+                   rho_mod3_identity=homology.mod(action, 3) == homology.IDENTITY)
 
 
 def certify_pa_genus2(word: TwistWord,

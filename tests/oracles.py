@@ -10,9 +10,11 @@ matrices are whole matrices multiplied by 2x2 blocks, inverted by the
 adjugate.  Strand removal tracks every strand rather than the
 forgotten one, and the per-strand Brunnian reference asks each removal
 on its own, through a decision function its caller passes in with the
-word's own answer.  The package is imported only for ``BraidWord``, to generate
-words.  Disagreement between these and the package is a test failure,
-not a tie to be broken.
+word's own answer; the unscreened genus-2 rule likewise takes the
+homology verdict and the engine from its caller.  The package is
+imported only for ``BraidWord``, to generate words.  Disagreement
+between these and the package is a test failure, not a tie to be
+broken.
 
 An automorphism of the free group of rank r is a tuple of r reduced
 words, entry i - 1 being the image of x_i.  The engine's tables have
@@ -144,6 +146,28 @@ def strand_reference(word, decide, own):
     asked = [decide(forget_strand(word, i)) for i in range(1, word.n + 1)]
     verdict, used = own
     return [v for v, _ in asked], verdict, used + sum(u for _, u in asked)
+
+
+# ---------------------------------------------------------------------------
+# genus-2 triviality with no screen on the projection
+# ---------------------------------------------------------------------------
+
+def is_pure(word):
+    """Whether every strand of a braid word ends where it started."""
+    at = list(range(word.n + 1))  # at[pos] = strand at pos
+    for a in word.letters:
+        j = abs(a)
+        at[j], at[j + 1] = at[j + 1], at[j]
+    return at == list(range(word.n + 1))
+
+
+def genus2_unscreened(action_is_identity, projection, engine):
+    """Genus-2 triviality by its stages before the projection met the
+    screen: the screened homology action is the identity, then the
+    projection is pure, then it is empty or ``engine(projection)``, the
+    caller's engine, finds it trivial."""
+    return (action_is_identity and is_pure(projection)
+            and (not projection.letters or engine(projection)))
 
 
 # ---------------------------------------------------------------------------

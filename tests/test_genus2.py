@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
@@ -12,13 +15,18 @@ from brunnian import (
     is_trivial_genus2,
     is_trivial_sphere,
     membership_theorem12,
+    parse_surface,
+    parse_word,
     project,
     rho,
     rho_mod,
 )
+from brunnian.braid import _is_inner
+from brunnian.certificate import render_word
+from brunnian.cli import main
 from brunnian.genus2 import commutator
 from brunnian.errors import PreconditionError
-from brunnian.homology import IDENTITY, NEG_IDENTITY
+from brunnian.homology import IDENTITY, NEG_IDENTITY, SCREEN_MODULUS
 
 import oracles
 
@@ -101,6 +109,48 @@ class TestTriviality:
                                              * h.invert())
             assert is_trivial_sphere(project(word))
             assert rho(word) in (IDENTITY, NEG_IDENTITY)
+
+
+def identity_acting_powers(seed, count):
+    """Seeded genus-2 powers u^(q r), each acting as the identity on
+    homology: u a random word of 2..7 letters, q the order of its
+    projection's permutation, 1 < r <= 12 the order of rho(u^q)."""
+    rng = random.Random(seed)
+    texts = []
+    while len(texts) < count:
+        u = TwistWord(oracles.random_letters(rng, 5, rng.randint(2, 7)))
+        q = project(u).permutation().order()
+        r = next((r for r in range(1, 13) if rho(u.power(q * r)) == IDENTITY), 1)
+        if r > 1:
+            texts.append(f"({render_word(u)})^{q * r}")
+    return texts
+
+
+def test_check_decides_projections_as_the_unscreened_rule_with_no_more_letters():
+    # Past the homology test, genus 2 runs the sphere rule on the
+    # projection, whose screen reads the least pure power; the rule
+    # before it went from purity to the engine.  Verdicts agree, no word
+    # costs more, and the screen spares the engine on some words.
+    fewer = 0
+    verdicts = set()
+    for text in identity_acting_powers(2029, 40):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", "--surface", "genus2", "--word", text, "--json"])
+        assert code == 0
+        doc = json.loads(out.getvalue())
+        budget = LetterBudget()
+        word = parse_word(text, parse_surface("genus2"), budget)
+        assert rho(word) == IDENTITY
+        verdict = oracles.genus2_unscreened(
+            rho_mod(word, SCREEN_MODULUS) == IDENTITY, project(word),
+            lambda projection: _is_inner(projection, budget))
+        assert doc["trivial"] is verdict, text
+        assert doc["letters_used"] <= budget.used, text
+        fewer += doc["letters_used"] < budget.used
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert fewer >= 1
 
 
 class TestBrunnianGenus2:

@@ -4,6 +4,8 @@
   the package source holds no ``assert`` statement.
 * Letters are spent on one path: only ``LetterBudget.__init__`` and
   ``LetterBudget.charge`` assign an attribute named ``used``.
+* Only ``braid`` knows the order of its stages: ``genus2.py`` names
+  none of the screen, the engine or the rule that runs them.
 * A genus-2 ``check``, ``brunnian`` or ``certify`` makes exactly one
   homology pass, and runs the free-group engine on the projection only
   when that action is the identity.  Verdicts read the action modulo
@@ -75,6 +77,25 @@ def test_only_the_budget_writes_used():
                    ast.parse(path.read_text(), str(path)), "used")}
     assert writers == {"budget.py:LetterBudget.__init__",
                        "budget.py:LetterBudget.charge"}
+
+
+BRAID_STAGES = {"_screened", "_is_inner", "_is_trivial_pure", "_burau_passes",
+                "_action_table", "_inner_conjugator"}
+
+
+def _names(tree):
+    """Every identifier, attribute and imported name under ``tree``."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names})
+
+
+def test_genus2_names_no_braid_stage():
+    path = PACKAGE / "genus2.py"
+    assert _names(ast.parse(path.read_text(), str(path))) & BRAID_STAGES == set()
 
 
 def _replace_everywhere(monkeypatch, original, wrapper):

@@ -8,9 +8,10 @@
 * That it is sound in practice and strong enough: no word the engine
   proves trivial is stopped, the nontrivial ones of a seeded sample
   are, and the flagship is decided at n = 5..9 with no engine letters.
-* That on a genus-2 projection it passes every word whose homology
-  action is I or -I, as in a seeded sample of such words, which is why
-  genus-2 commands do not run it on six strands.
+* That on a genus-2 projection it passes every whole word whose
+  homology action is I or -I, as in a seeded sample of such words; and
+  that genus-2 commands still run it on the projection, whose least
+  pure power can act otherwise.
 """
 
 import contextlib
@@ -144,7 +145,7 @@ def relator_products(draw):
 @settings(deadline=None)
 @given(relator_products())
 def test_screen_passes_products_of_relator_conjugates(word):
-    assert _burau_passes(word)
+    assert _burau_passes(word.n, word.letters)
     assert unless_aborted(_is_trivial_pure, word, LetterBudget(20_000)) is not False
 
 
@@ -177,7 +178,7 @@ def test_agreement_with_the_engine():
             seen[engine] += 1
             # Sound: every trivial word passes.  Strong on this sample:
             # every nontrivial word is stopped.
-            assert _burau_passes(word) is engine
+            assert _burau_passes(word.n, word.letters) is engine
     assert min(seen.values()) >= 100
 
 
@@ -207,11 +208,10 @@ def test_flagship_decided_with_no_engine_letters(n):
 
 
 def test_genus2_projection_passes_when_homology_is_plus_or_minus_identity():
-    # Genus-2 commands ask the projection only after the homology action
-    # is the identity, and skip the screen there: at t = -1 on six strands
-    # it reads that same homology, so it passes.  Products of conjugates
-    # of the separating twist (d1 d2)^6 act as I, and with the involution
-    # appended as -I.
+    # At t = -1 on six strands the screen reads the homology of the
+    # genus-2 lift, so a whole projection whose lift acts as I or -I
+    # passes.  Products of conjugates of the separating twist (d1 d2)^6
+    # act as I, and with the involution appended as -I.
     rng = random.Random(2024)
     p = 2 ** 61 - 1
     identity = homology.mod(homology.IDENTITY, p)
@@ -227,7 +227,7 @@ def test_genus2_projection_passes_when_homology_is_plus_or_minus_identity():
             w = w * involution_word()
         actions.append(homology.rho_mod(w, p))
         assert actions[-1] in (identity, minus_identity)
-        assert _burau_passes(genus2.project(w))
+        assert _burau_passes(6, genus2.project(w).letters)
     assert identity in actions and minus_identity in actions
 
 
@@ -238,17 +238,18 @@ def test_genus2_projection_passes_when_homology_is_plus_or_minus_identity():
     ("(d1 d2)^6", False),
     ("d3 (d1 d2)^-6 d3^-1 (d1 d2)^6", False),
 ])
-def test_genus2_identity_action_skips_the_six_strand_screen(
+def test_genus2_identity_action_screens_the_projection(
         monkeypatch, command, text, trivial):
     # Each word acts as the identity on homology with a pure projection,
-    # so the engine decides it; only five-strand removals are screened.
+    # so the sphere rule decides the projection, the six-strand screen
+    # first; brunnian and certify screen the five-strand removals too.
     word = parse_word(text, parse_surface("genus2"))
     assert homology.rho(word) == homology.IDENTITY
     screened = []
 
-    def recorded(braid_word):
-        screened.append(braid_word.n)
-        return _burau_passes(braid_word)
+    def recorded(n, letters):
+        screened.append(n)
+        return _burau_passes(n, letters)
 
     monkeypatch.setattr("brunnian.braid._burau_passes", recorded)
     out = io.StringIO()
@@ -257,4 +258,4 @@ def test_genus2_identity_action_skips_the_six_strand_screen(
     assert code == 0
     doc = json.loads(out.getvalue())
     assert doc.get("checks", doc)["trivial"] is trivial
-    assert 6 not in screened
+    assert 6 in screened
