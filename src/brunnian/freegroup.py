@@ -3,8 +3,8 @@
 Words are tuples of nonzero signed integers: ``+i`` denotes the i-th
 generator (1-based), ``-i`` its inverse.  Every stored word is freely
 reduced, i.e. contains no adjacent pair ``a, -a``: the ``Word``
-constructor reduces the letters it is given with a single stack pass,
-so all word operations here are linear in their input size.
+constructor checks and reduces the letters it is given in a single
+stack pass, so all word operations here are linear in their input size.
 
 The engine behind the mapping-class word problem keeps its words
 packed: a word of rank r is a ``str`` with letter a stored as
@@ -33,21 +33,11 @@ Letters = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# raw-tuple primitives
+# the raw-tuple inverse
 #
-# These operate on plain tuples without re-validating intermediate words;
-# Word and the parser use them.
+# It operates on plain sequences without re-validating intermediate words;
+# Word and the parser use it.
 # ---------------------------------------------------------------------------
-
-def _reduce(letters: Iterable[int]) -> Letters:
-    out: list[int] = []
-    for a in letters:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
 
 def _invert(letters: Sequence[int]) -> Letters:
     return tuple(-a for a in reversed(letters))
@@ -172,29 +162,34 @@ class Word:
     other fields name the group (a strand count, or nothing), ``bound``
     is the largest generator index they allow, and ``prefix`` and
     ``surface`` name the generator letter and the surface.  Only the
-    constructor builds a word: it takes any iterable of letters, checks
-    each against ``bound`` before reducing, so an out-of-range pair that
-    would cancel is still refused, and stores the freely reduced
-    letters.  Operations return a word of the same type and group.
+    constructor builds a word: it takes any iterable of letters and, in
+    one stack pass, checks each against ``bound`` before pushing it or
+    cancelling it, so an out-of-range pair that would cancel is still
+    refused, and stores the freely reduced letters.  Operations return
+    a word of the same type and group.
     """
 
     letters: Letters
 
     def __post_init__(self):
-        letters = tuple(self.letters)
         bound = self.bound
-        for a in letters:
+        out: list[int] = []
+        for a in self.letters:
             if not isinstance(a, int) or not 1 <= abs(a) <= bound:
                 raise PreconditionError(
                     f"letter {a} out of range 1..{bound} for {type(self).__name__}")
-        object.__setattr__(self, "letters", _reduce(letters))
+            if out and out[-1] == -a:
+                out.pop()
+            else:
+                out.append(a)
+        object.__setattr__(self, "letters", tuple(out))
 
     def _with(self, letters: Letters):
         return replace(self, letters=letters)
 
     def concat(self, other):
-        # Same group: the two words agree once their letters are dropped.
-        if type(other) is not type(self) or self._with(()) != other._with(()):
+        # The surface names the group: the strand count, or genus 2.
+        if type(other) is not type(self) or self.surface != other.surface:
             raise PreconditionError("words of different groups cannot be multiplied")
         return self._with(self.letters + other.letters)
 

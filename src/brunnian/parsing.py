@@ -16,14 +16,18 @@ take a signed decimal exponent, a commutator [A, B] expands to
 A B A^-1 B^-1, and parsing returns the fully expanded, word-level
 reduced word.  Power and commutator expansion is charged against the
 letter budget so that a pathological exponent aborts instead of
-exhausting memory.
+exhausting memory: a power len(atom)·|k| before it expands, a
+commutator 2(|A| + |B|) at its ']'.
 
 The whole text is tokenized before it is parsed, so a lexical error
-comes first.  A WordSyntaxError is at the unexpected character, at the
-start of the token at fault (a head with no digits, a number too long
-to convert, a wrong or out-of-range generator, a token out of place),
-at the bracket that nests too deep, or at the end of a text that ends
-early.
+comes first.  Parsing is then one loop over the tokens with a stack of
+the open groups: a generator is appended to the innermost group, a
+power expands the atom it follows in place, and a closing ')' or ']'
+appends its group's expansion to the enclosing one.  A WordSyntaxError
+is at the unexpected character, at the start of the token at fault (a
+head with no digits, a number too long to convert, a wrong or
+out-of-range generator, a token out of place), at the bracket that
+nests too deep, or at the end of a text that ends early.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from .errors import PreconditionError, WordSyntaxError
 from .freegroup import Word, _invert
 from .genus2 import TwistWord
 
-# Groups and commutators nest at most this deep; the parser recurses
-# once per level, so the limit keeps it far from the interpreter's.
+# Groups and commutators nest at most this deep, a documented input
+# limit: the parser's stack holds at most this many open groups.
 MAX_NESTING = 100
 
 
@@ -114,77 +118,6 @@ def _tokenize(text: str) -> list[tuple]:
             tokens.append(("int", start, _number(head + digits, start)))
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple], group: Word, budget: LetterBudget):
-        self.tokens = tokens
-        self.pos = 0
-        self.budget = budget
-        self.depth = 0
-        self.prefix, self.limit = group.prefix, group.bound
-
-    def take(self, kind: str):
-        """The value of the next token, which must be of ``kind``."""
-        found, position, value = self.tokens[self.pos]
-        if found != kind:
-            raise WordSyntaxError(f"expected {kind!r}, found " + (
-                "end of input" if found is None else repr(found)), position)
-        self.pos += 1
-        return value
-
-    def parse_word(self, stop: str | None) -> list[int]:
-        """Items up to the ``stop`` token or the end of input."""
-        letters: list[int] = []
-        while self.tokens[self.pos][0] not in (None, stop):
-            letters.extend(self.parse_item())
-        return letters
-
-    def parse_item(self) -> list[int]:
-        atom = self.parse_atom()
-        if self.tokens[self.pos][0] != "^":
-            return atom
-        self.pos += 1
-        exponent = self.take("int")
-        self.budget.charge(len(atom) * abs(exponent))
-        if exponent < 0:
-            atom = list(_invert(atom))
-        return atom * abs(exponent) if atom else atom
-
-    def parse_atom(self) -> list[int]:
-        kind, position, value = self.tokens[self.pos]
-        if kind == "gen":
-            self.pos += 1
-            return [self._letter(position, *value)]
-        if kind not in ("(", "["):
-            raise WordSyntaxError(f"unexpected token {kind!r}", position)
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise WordSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels", position)
-        self.pos += 1
-        if kind == "(":
-            letters = self.parse_word(")")
-            self.take(")")
-        else:
-            left = self.parse_word(",")
-            self.take(",")
-            right = self.parse_word("]")
-            self.take("]")
-            self.budget.charge(2 * (len(left) + len(right)))
-            letters = left + right + list(_invert(left)) + list(_invert(right))
-        self.depth -= 1
-        return letters
-
-    def _letter(self, position: int, head: str, index: int) -> int:
-        if head != self.prefix:
-            alphabet = "sphere" if self.prefix == "s" else "genus-2"
-            raise WordSyntaxError(
-                f"{alphabet} words use {self.prefix!r} generators", position)
-        if not 1 <= index <= self.limit:
-            raise WordSyntaxError(
-                f"generator index {index} out of range 1..{self.limit}", position)
-        return index
-
-
 def parse_word(text: str, group: Word,
                budget: LetterBudget | None = None) -> Word:
     """Parse text into a fully expanded reduced word of ``group``'s type
@@ -195,4 +128,58 @@ def parse_word(text: str, group: Word,
                                 f"TwistWord), not {type(group).__name__}")
     if budget is None:
         budget = LetterBudget()
-    return group._with(_Parser(_tokenize(text), group, budget).parse_word(None))
+    prefix, bound = group.prefix, group.bound
+    tokens = iter(_tokenize(text))
+    # The innermost open group: its expanded letters, the token that
+    # closes it (None for the whole text; ',' then ']' for a commutator)
+    # and, after the ',', the commutator's left half.  The enclosing
+    # groups wait in ``groups``, innermost last; letters[start:] is the
+    # atom that a '^' may follow, and start is None where none may.
+    letters, closer, left = [], None, None
+    groups: list[tuple] = []
+    start = None
+    for kind, position, value in tokens:
+        if kind == "gen":
+            head, index = value
+            if head != prefix:
+                alphabet = "sphere" if prefix == "s" else "genus-2"
+                raise WordSyntaxError(
+                    f"{alphabet} words use {prefix!r} generators", position)
+            if not 1 <= index <= bound:
+                raise WordSyntaxError(
+                    f"generator index {index} out of range 1..{bound}", position)
+            start = len(letters)
+            letters.append(index)
+        elif kind == "^" and start is not None:
+            kind, position, exponent = next(tokens)
+            if kind != "int":
+                raise WordSyntaxError("expected 'int', found " + (
+                    "end of input" if kind is None else repr(kind)), position)
+            atom = letters[start:]
+            budget.charge(len(atom) * abs(exponent))
+            if atom:  # the empty atom: [] * k overflows for a huge k
+                base = atom if exponent > 0 else _invert(atom)
+                letters[start:] = base * abs(exponent)
+            start = None
+        elif kind in ("(", "["):
+            if len(groups) == MAX_NESTING:
+                raise WordSyntaxError(
+                    f"nesting deeper than {MAX_NESTING} levels", position)
+            groups.append((letters, closer, left))
+            letters, closer, left = [], ")" if kind == "(" else ",", None
+            start = None
+        elif kind != closer:
+            raise WordSyntaxError(f"expected {closer!r}, found end of input"
+                                  if kind is None else
+                                  f"unexpected token {kind!r}", position)
+        elif kind == ",":
+            left, letters, closer, start = letters, [], "]", None
+        elif kind is not None:  # ')' or ']' closes the innermost group
+            atom = letters
+            if kind == "]":
+                budget.charge(2 * (len(left) + len(atom)))
+                atom = [*left, *atom, *_invert(left), *_invert(atom)]
+            letters, closer, left = groups.pop()
+            start = len(letters)
+            letters += atom
+    return group._with(letters)

@@ -11,10 +11,14 @@ adjugate.  Strand removal tracks every strand rather than the
 forgotten one, and the per-strand Brunnian reference asks each removal
 on its own, through a decision function its caller passes in with the
 word's own answer; the unscreened genus-2 rule likewise takes the
-homology verdict and the engine from its caller.  The package is
-imported only for ``BraidWord``, to generate words.  Disagreement
-between these and the package is a test failure, not a tie to be
-broken.
+homology verdict and the engine from its caller.  The word parser
+scans characters one at a time where the package matches a regular
+expression, and descends recursively, one method per grammar rule,
+where the package runs one loop over an explicit stack; it raises
+``ReferenceSyntaxError``, which the tests match to the package's
+``WordSyntaxError``.  The package is imported only for ``BraidWord``,
+to generate words.  Disagreement between these and the package is a
+test failure, not a tie to be broken.
 
 An automorphism of the free group of rank r is a tuple of r reduced
 words, entry i - 1 being the image of x_i.  The engine's tables have
@@ -325,6 +329,141 @@ def scalar_on_quotient(rows, u, p):
         if any((g[k] - g[0] * u[k]) % p for k in range(n)):
             return None
     return c
+
+
+# ---------------------------------------------------------------------------
+# the word grammar by recursive descent
+# ---------------------------------------------------------------------------
+
+REFERENCE_NESTING = 100
+
+
+class ReferenceSyntaxError(ValueError):
+    """Malformed word text, with the message and position the package's
+    WordSyntaxError gives."""
+
+    def __init__(self, message, position):
+        self.position = position
+        super().__init__(f"{message} (at position {position})")
+
+
+def _reference_tokens(text):
+    """(kind, position, value) tokens of the whole text, ending with
+    (None, len(text), None): a punctuation mark is its own kind, 'gen'
+    tokens hold (head, index) and 'int' tokens their signed value."""
+    tokens = []
+    i = 0
+    while True:
+        while i < len(text) and text[i].isspace():
+            i += 1
+        if i == len(text):
+            tokens.append((None, i, None))
+            return tokens
+        start = i
+        if text[i] in "[](),^":
+            tokens.append((text[i], i, None))
+            i += 1
+            continue
+        head = text[i] if text[i] in "sd-" else ""
+        i += len(head)
+        while i < len(text) and text[i] in "0123456789":
+            i += 1
+        digits = text[start + len(head):i]
+        if not head and not digits:
+            raise ReferenceSyntaxError(f"unexpected character {text[i]!r}", i)
+        if not digits:
+            raise ReferenceSyntaxError(
+                "expected digits after '-'" if head == "-"
+                else "generator letter needs an index", start)
+        try:
+            value = int(digits)
+        except ValueError:  # beyond the interpreter's integer string limit
+            raise ReferenceSyntaxError(
+                f"number of {len(digits)} digits is too long", start) from None
+        if head == "-":
+            tokens.append(("int", start, -value))
+        elif head:
+            tokens.append(("gen", start, (head, value)))
+        else:
+            tokens.append(("int", start, value))
+
+
+class _ReferenceParser:
+    def __init__(self, tokens, group, budget):
+        self.tokens = tokens
+        self.pos = 0
+        self.budget = budget
+        self.depth = 0
+        self.prefix, self.limit = group.prefix, group.bound
+
+    def take(self, kind):
+        """The value of the next token, which must be of ``kind``."""
+        found, position, value = self.tokens[self.pos]
+        if found != kind:
+            raise ReferenceSyntaxError(f"expected {kind!r}, found " + (
+                "end of input" if found is None else repr(found)), position)
+        self.pos += 1
+        return value
+
+    def parse_word(self, stop):
+        """Items up to the ``stop`` token or the end of input."""
+        letters = []
+        while self.tokens[self.pos][0] not in (None, stop):
+            letters.extend(self.parse_item())
+        return letters
+
+    def parse_item(self):
+        atom = self.parse_atom()
+        if self.tokens[self.pos][0] != "^":
+            return atom
+        self.pos += 1
+        exponent = self.take("int")
+        self.budget.charge(len(atom) * abs(exponent))
+        if exponent < 0:
+            atom = list(inverse(atom))
+        return atom * abs(exponent) if atom else atom
+
+    def parse_atom(self):
+        kind, position, value = self.tokens[self.pos]
+        if kind == "gen":
+            self.pos += 1
+            return [self._letter(position, *value)]
+        if kind not in ("(", "["):
+            raise ReferenceSyntaxError(f"unexpected token {kind!r}", position)
+        self.depth += 1
+        if self.depth > REFERENCE_NESTING:
+            raise ReferenceSyntaxError(
+                f"nesting deeper than {REFERENCE_NESTING} levels", position)
+        self.pos += 1
+        if kind == "(":
+            letters = self.parse_word(")")
+            self.take(")")
+        else:
+            left = self.parse_word(",")
+            self.take(",")
+            right = self.parse_word("]")
+            self.take("]")
+            self.budget.charge(2 * (len(left) + len(right)))
+            letters = left + right + list(inverse(left)) + list(inverse(right))
+        self.depth -= 1
+        return letters
+
+    def _letter(self, position, head, index):
+        if head != self.prefix:
+            alphabet = "sphere" if self.prefix == "s" else "genus-2"
+            raise ReferenceSyntaxError(
+                f"{alphabet} words use {self.prefix!r} generators", position)
+        if not 1 <= index <= self.limit:
+            raise ReferenceSyntaxError(
+                f"generator index {index} out of range 1..{self.limit}", position)
+        return index
+
+
+def reference_parse(text, group, budget):
+    """The freely reduced letters of text in the alphabet of the word
+    ``group``, charging ``budget`` as the package's parser does."""
+    tokens = _reference_tokens(text)
+    return naive_free_reduce(_ReferenceParser(tokens, group, budget).parse_word(None))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,12 @@ class TestBraidWord:
                                match=rf"^letter {bad} out of range 1\.\.3 "):
                 BraidWord(4, letters)
 
+    def test_any_iterable_is_checked_and_reduced_in_one_pass(self):
+        assert BraidWord(5, iter([1, -1, 2])).letters == (2,)
+        with pytest.raises(PreconditionError,
+                           match=r"^letter 9 out of range 1\.\.4 "):
+            BraidWord(5, (a for a in (1, -1, 9)))
+
     def test_reduced_letters_are_kept(self):
         rng = random.Random(303)
         for _ in range(500):

@@ -2,7 +2,7 @@ import random
 from itertools import groupby
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from brunnian import (
     BraidWord,
@@ -14,8 +14,10 @@ from brunnian import (
     parse_word,
     render_letters,
 )
+from brunnian.budget import DEFAULT_LETTER_CAP
 from brunnian.certificate import render_word
 from brunnian.errors import PreconditionError, WordSyntaxError
+from brunnian.freegroup import commutator
 from brunnian.parsing import integer, surface_label
 
 import oracles
@@ -173,6 +175,14 @@ class TestParseErrors:
         ("s1 " + "s" + "1" * 5000, SPHERE6, "number of 5000 digits is too long", 3),
         ("(" * 101, SPHERE6, "nesting deeper than 100 levels", 100),
         ("s1", GENUS2, "genus-2 words use 'd' generators", 0),
+        ("[s1,^2]", SPHERE6, "unexpected token '^'", 4),
+        ("(s1]", SPHERE6, "unexpected token ']'", 3),
+        ("[s1)", SPHERE6, "unexpected token ')'", 3),
+        ("s1^2^3", SPHERE6, "unexpected token '^'", 4),
+        ("[s1", SPHERE6, "expected ',', found end of input", 3),
+        ("(s1", SPHERE6, "expected ')', found end of input", 3),
+        ("[s1,s2,s3]", SPHERE6, "unexpected token ','", 6),
+        ("()^", SPHERE6, "expected 'int', found end of input", 3),
     ], ids=lambda v: v[:12] if isinstance(v, str) else None)
     def test_message_and_position(self, text, surface, message, position):
         with pytest.raises(WordSyntaxError) as err:
@@ -198,11 +208,160 @@ class TestParseErrors:
         assert err.value.position is None
         assert str(err.value) == message
 
+    def test_deepest_group_parses(self):
+        assert parse_word("(" * 100 + "s1" + ")" * 100, SPHERE6).letters == (1,)
+        assert parse_word("(" * 100 + ")" * 100, SPHERE6) == SPHERE6
+
+    def test_deepest_mixed_nesting_parses(self):
+        # 100 levels: a commutator at every tenth, groups between them,
+        # every third group inverted.
+        text, word = "s3", BraidWord(6, (3,))
+        for level in range(100):
+            if level % 10 == 0:
+                a = level // 10 % 5 + 1
+                text = f"[s{a}^2,{text}]"
+                word = commutator(BraidWord(6, (a, a)), word)
+            elif level % 3 == 0:
+                text, word = f"({text})^-1", word.invert()
+            else:
+                text = f"({text})"
+        assert parse_word(text, SPHERE6) == word
+
     def test_huge_power_hits_the_budget(self):
         with pytest.raises(LetterBudgetExceeded):
             parse_word("s1^100000000", SPHERE6, LetterBudget(1000))
         with pytest.raises(LetterBudgetExceeded):
             parse_word("(s1 s2 s3)^-99999999", SPHERE6, LetterBudget(1000))
+
+
+class LoggingBudget(LetterBudget):
+    """A budget that records every amount charged to it, in order."""
+
+    def __init__(self, cap):
+        super().__init__(cap)
+        self.charges = []
+
+    def charge(self, amount):
+        self.charges.append(amount)
+        super().charge(amount)
+
+
+def outcome(parse, text, group, cap):
+    """The letters or the error, every charge and ``used`` of one parse;
+    the reference's syntax error counts as a WordSyntaxError."""
+    budget = LoggingBudget(cap)
+    try:
+        result = parse(text, group, budget)
+    except (WordSyntaxError, oracles.ReferenceSyntaxError) as err:
+        result = (WordSyntaxError if isinstance(err, oracles.ReferenceSyntaxError)
+                  else type(err), str(err), err.position)
+    except LetterBudgetExceeded as err:
+        result = (type(err), str(err))
+    return result, budget.charges, budget.used
+
+
+def package_parse(text, group, budget):
+    return parse_word(text, group, budget).letters
+
+
+# Tokens as text, weighted towards brackets, commas and '^', with '^'
+# right after ',' and '(' often; ints from zero to past the index size
+# and past the interpreter's integer string limit; characters the lexer
+# refuses or skips, and both alphabets in and out of range.
+TOKENS = (("(",) * 3 + ("(^",) * 2 + ("[",) * 3 + (",",) * 3 + (",^",) * 2
+          + ("]",) * 3 + (")",) * 3 + ("^",) * 3
+          + ("0", "2", "-1", "3", "-2", "99999999999999999999",
+             "-99999999999999999999", "7" * 4301)
+          + ("?", "-", "s", "x", "\u0661", "\u00a0")
+          + ("s1", "s2", "s5", "s0", "s6", "d1", "d3", "d5", "d6"))
+EXPONENTS = ("0", "1", "2", "-1", "-3", "99999999999999999999",
+             "-99999999999999999999")
+SURFACES = (BraidWord(2), SPHERE6, GENUS2)
+CAPS = (5, DEFAULT_LETTER_CAP)
+
+
+def random_text(rng, group):
+    """A text of the group's grammar, then 0 to 3 edits from TOKENS."""
+    def word(depth):
+        items = []
+        for _ in range(rng.choice((0, 1, 1, 2, 2, 3))):
+            roll = rng.random()
+            if depth and roll < 0.25:
+                atom = ["(", *word(depth - 1), ")"]
+            elif depth and roll < 0.5:
+                atom = ["[", *word(depth - 1), ",", *word(depth - 1), "]"]
+            else:
+                atom = [f"{group.prefix}{rng.randint(1, group.bound)}"]
+            if rng.random() < 0.4:
+                atom += ["^", rng.choice(EXPONENTS)]
+            items += atom
+        return items
+
+    tokens = word(3)
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        at = rng.randint(0, len(tokens))
+        roll = rng.random()
+        if roll < 0.4:
+            tokens.insert(at, rng.choice(TOKENS))
+        elif roll < 0.6 and at < len(tokens):
+            del tokens[at]
+        elif at < len(tokens):
+            tokens[at] = rng.choice(TOKENS)
+    return rng.choice(("", " ")).join(tokens)
+
+
+def texts(group):
+    """Token lists of the group's grammar, where a group or a commutator
+    half may open with a '^' out of place, then up to three edits."""
+    caret = st.sampled_from(([], [], [], ["^"], ["^", "2"]))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(caret, inner).map(lambda p: ["(", *p[0], *p[1], ")"]),
+            st.tuples(inner, caret, inner).map(
+                lambda p: ["[", *p[0], ",", *p[1], *p[2], "]"]),
+            st.lists(inner, max_size=3).map(lambda ws: [t for w in ws for t in w]),
+            st.tuples(inner, st.sampled_from(EXPONENTS)).map(
+                lambda p: [*p[0], "^", p[1]]))
+
+    generator = st.integers(1, group.bound).map(lambda i: [f"{group.prefix}{i}"])
+    edit = st.tuples(st.integers(0, 60), st.sampled_from("ird"),
+                     st.sampled_from(TOKENS))
+
+    @st.composite
+    def edited(draw):
+        tokens = draw(st.recursive(generator | st.just([]), extend, max_leaves=8))
+        for at, kind, token in draw(st.lists(edit, max_size=3)):
+            at %= len(tokens) + 1
+            if kind == "i":
+                tokens.insert(at, token)
+            elif at < len(tokens):
+                tokens[at:at + 1] = [token] if kind == "r" else []
+        return draw(st.sampled_from(("", " "))).join(tokens)
+
+    return edited()
+
+
+class TestReferenceParser:
+    """parse_word against the recursive-descent oracles.reference_parse:
+    the same letters, the same charges in the same order, the same
+    ``used``, or the same error type, message and position."""
+
+    def test_seeded_texts(self):
+        rng = random.Random(3030)
+        for _ in range(50_000):
+            group = rng.choice(SURFACES)
+            text = random_text(rng, group)
+            for cap in CAPS:
+                assert (outcome(package_parse, text, group, cap)
+                        == outcome(oracles.reference_parse, text, group, cap)), text
+
+    @settings(max_examples=300)
+    @given(st.data(), st.sampled_from(SURFACES), st.sampled_from(CAPS))
+    def test_drawn_texts(self, data, group, cap):
+        text = data.draw(texts(group))
+        assert (outcome(package_parse, text, group, cap)
+                == outcome(oracles.reference_parse, text, group, cap))
 
 
 class TestRender:
